@@ -1,17 +1,18 @@
 //! The unified BP-engine abstraction.
 //!
-//! The three backends (grid, particle, Gaussian) historically exposed
-//! three copy-pasted `run`/`run_with`/`run_observed`/`run_full` entry
-//! points each. [`BpEngine`] collapses that surface: each backend
-//! implements exactly one required method — [`BpEngine::run_warm`],
-//! the superset entry point taking a [`Transport`] and a [`WarmStart`]
-//! describing how beliefs are seeded (cold, epoch carry-over, or
-//! mid-run state resume) — and inherits the rest. Callers that only
-//! need beliefs keep the old
-//! tuple-returning convenience methods; callers that inject faults or
-//! need structured telemetry use [`BpEngine::run_transported`] and get
-//! a [`RunOutcome`]; streaming/tracking callers thread last epoch's
-//! posterior (motion-convolved) back in through `run_carried`.
+//! Each backend (grid, particle, Gaussian) implements exactly one
+//! required method, [`BpEngine::run_warm`]: the superset entry point
+//! taking a [`Transport`] and a [`WarmStart`] describing how beliefs are
+//! seeded (cold, epoch carry-over, or mid-run state resume). The other
+//! entry points are provided on top of it:
+//!
+//! - [`BpEngine::run_carried`]: streaming/tracking callers thread last
+//!   epoch's posterior (motion-convolved) back in;
+//! - [`BpEngine::run_transported`]: cold start with fault injection and
+//!   structured telemetry, returning a [`RunOutcome`];
+//! - [`BpEngine::run`] and [`BpEngine::run_with`]: cold start on the
+//!   perfect transport, returning `(beliefs, outcome)`, without and with
+//!   a telemetry observer.
 //!
 //! [`Belief`] is the minimal read surface the core localizer needs to
 //! turn a backend's belief into a point estimate without knowing which
@@ -219,38 +220,6 @@ pub trait BpEngine {
         obs: &dyn InferenceObserver,
     ) -> (Vec<Self::Belief>, BpOutcome) {
         let out = self.run_transported(mrf, opts, &Transport::perfect(), obs, |_, _| {});
-        (out.beliefs, out.bp)
-    }
-
-    /// Runs BP, invoking `observer(iteration, beliefs)` after every
-    /// iteration (belief-level hook for convergence experiments; for
-    /// structured telemetry use [`BpEngine::run_with`]).
-    fn run_observed<F>(
-        &self,
-        mrf: &SpatialMrf,
-        opts: &BpOptions,
-        observer: F,
-    ) -> (Vec<Self::Belief>, BpOutcome)
-    where
-        F: FnMut(usize, &[Self::Belief]),
-    {
-        let out = self.run_transported(mrf, opts, &Transport::perfect(), &NullObserver, observer);
-        (out.beliefs, out.bp)
-    }
-
-    /// Runs BP with both a structured telemetry observer and a
-    /// belief-level per-iteration closure, on the perfect transport.
-    fn run_full<F>(
-        &self,
-        mrf: &SpatialMrf,
-        opts: &BpOptions,
-        obs: &dyn InferenceObserver,
-        on_iter: F,
-    ) -> (Vec<Self::Belief>, BpOutcome)
-    where
-        F: FnMut(usize, &[Self::Belief]),
-    {
-        let out = self.run_transported(mrf, opts, &Transport::perfect(), obs, on_iter);
         (out.beliefs, out.bp)
     }
 }

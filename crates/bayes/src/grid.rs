@@ -1465,17 +1465,21 @@ mod tests {
             }),
         );
         let mut seen = Vec::new();
-        let (_, outcome) = GridBp::with_resolution(20).run_observed(
-            &mrf,
-            &BpOptions::builder()
-                .max_iterations(4)
-                .tolerance(0.0) // never converge early
-                .try_build()
-                .expect("valid options"),
-            |iter, beliefs| {
-                seen.push((iter, beliefs.len()));
-            },
-        );
+        let outcome = GridBp::with_resolution(20)
+            .run_transported(
+                &mrf,
+                &BpOptions::builder()
+                    .max_iterations(4)
+                    .tolerance(0.0) // never converge early
+                    .try_build()
+                    .expect("valid options"),
+                &Transport::perfect(),
+                &NullObserver,
+                |iter, beliefs| {
+                    seen.push((iter, beliefs.len()));
+                },
+            )
+            .bp;
         assert_eq!(outcome.iterations, 4);
         assert!(!outcome.converged);
         assert_eq!(seen, vec![(0, 2), (1, 2), (2, 2), (3, 2)]);

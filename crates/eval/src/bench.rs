@@ -281,12 +281,23 @@ pub fn scale_bench_json(samples: usize, quick: bool) -> String {
     } else {
         &SHARD_SCALE_NODES
     };
-    scale_bench_json_for(samples, node_counts, if quick { "quick" } else { "full" })
+    scale_bench_json_for(
+        samples,
+        &SCALE_RESOLUTIONS,
+        node_counts,
+        if quick { "quick" } else { "full" },
+    )
 }
 
-/// [`scale_bench_json`] with the deployment list held open so the unit
-/// suite can exercise the JSON shape without building 100k+ networks.
-fn scale_bench_json_for(samples: usize, node_counts: &[usize], mode: &str) -> String {
+/// [`scale_bench_json`] with the resolution and deployment lists held
+/// open so the unit suite can exercise the JSON shape without running
+/// the fine grids or building 100k+ networks.
+fn scale_bench_json_for(
+    samples: usize,
+    resolutions: &[usize],
+    node_counts: &[usize],
+    mode: &str,
+) -> String {
     let (mrf, _) = grid_fixture();
     let opts = BpOptions::builder()
         .max_iterations(1)
@@ -294,7 +305,7 @@ fn scale_bench_json_for(samples: usize, node_counts: &[usize], mode: &str) -> St
         .try_build()
         .expect("pinned scale options are valid");
     let mut grid_rows = String::new();
-    for (i, &resolution) in SCALE_RESOLUTIONS.iter().enumerate() {
+    for (i, &resolution) in resolutions.iter().enumerate() {
         let dense = GridBp::with_resolution(resolution);
         let refined = dense.with_refinement(CoarseToFine::default());
         let dense_secs = median_secs(samples, || {
@@ -303,11 +314,7 @@ fn scale_bench_json_for(samples: usize, node_counts: &[usize], mode: &str) -> St
         let refined_secs = median_secs(samples, || {
             refined.run(&mrf, &opts);
         });
-        let comma = if i + 1 < SCALE_RESOLUTIONS.len() {
-            ","
-        } else {
-            ""
-        };
+        let comma = if i + 1 < resolutions.len() { "," } else { "" };
         grid_rows.push_str(&format!(
             "      {{ \"resolution\": {resolution}, \"dense_secs\": {dense_secs:.6}, \"refined_secs\": {refined_secs:.6} }}{comma}\n",
         ));
@@ -614,14 +621,20 @@ mod tests {
     #[test]
     fn scale_bench_reports_grid_and_sharded_sections() {
         // Exercise the quick shape at tiny sample count; the unit test
-        // must not build the 100k+ deployments, so assert shape through
-        // a single small fixture plus the quick JSON's static fields.
-        let json = scale_bench_json_for(1, &SHARD_SCALE_NODES[..1], "quick");
+        // must not run the fine grids or build the 100k+ deployments, so
+        // assert shape through the smallest resolution and deployment
+        // plus the quick JSON's static fields. The full lists are gated
+        // by the release-mode `repro bench --check --scale --quick` lane.
+        let resolution = SCALE_RESOLUTIONS[0];
+        let json = scale_bench_json_for(1, &[resolution], &SHARD_SCALE_NODES[..1], "quick");
         assert!(json.contains("\"bench\": \"scale_sweep\""), "{json}");
         assert!(json.contains("\"mode\": \"quick\""));
-        for r in SCALE_RESOLUTIONS {
-            assert!(json.contains(&format!("\"resolution\": {r}")), "{json}");
-        }
+        assert_eq!(json.matches("\"resolution\":").count(), 1, "{json}");
+        assert!(
+            json.contains(&format!("\"resolution\": {resolution}, \"dense_secs\": ")),
+            "{json}"
+        );
+        assert!(json.contains("\"refined_secs\""));
         assert!(json.contains("\"nodes\": 1000"), "{json}");
         assert!(json.contains("\"flat_secs\""));
         assert!(json.contains("\"sharded_secs\""));

@@ -364,7 +364,6 @@ fn intern_backend(s: &str) -> &'static str {
         "particle" => "particle",
         "grid" => "grid",
         "gaussian" => "gaussian",
-        "discrete" => "discrete",
         _ => "unknown",
     }
 }
@@ -381,15 +380,6 @@ fn intern_stage(s: &str) -> &'static str {
     match s {
         "kernel" => "kernel",
         "point" => "point",
-        _ => "unknown",
-    }
-}
-
-fn intern_method(s: &str) -> &'static str {
-    match s {
-        "enumeration" => "enumeration",
-        "variable_elimination" => "variable_elimination",
-        "likelihood_weighting" => "likelihood_weighting",
         _ => "unknown",
     }
 }
@@ -500,11 +490,6 @@ fn parse_event(v: &JsonValue) -> Result<Option<ObsEvent>, String> {
         "stale_message_used" => Some(ObsEvent::StaleMessageUsed {
             iteration: field_usize(v, "iteration")?,
             count: field_u64(v, "count")?,
-        }),
-        "discrete_query" => Some(ObsEvent::DiscreteQuery {
-            method: intern_method(field_str(v, "method")?),
-            variables: field_usize(v, "variables")?,
-            samples: field_u64(v, "samples")?,
         }),
         "epoch_advanced" => Some(ObsEvent::EpochAdvanced {
             tenant: field_u64(v, "tenant")?,
@@ -718,11 +703,67 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips_bit_exactly() {
-        let runs = sample_trace();
+        let mut runs = sample_trace();
+        // One instance of every event variant.
+        runs[0].events = vec![
+            ObsEvent::MapFallbackToMmse {
+                backend: "particle",
+            },
+            ObsEvent::GridUniformFallback {
+                edge: 7,
+                stage: "kernel",
+            },
+            ObsEvent::ThreadPoolFallback {
+                requested: 3,
+                error: "no threads".to_owned(),
+            },
+            ObsEvent::MessageDropped {
+                iteration: 0,
+                count: 3,
+            },
+            ObsEvent::NodeDied {
+                iteration: 2,
+                node: 5,
+            },
+            ObsEvent::StaleMessageUsed {
+                iteration: 1,
+                count: 4,
+            },
+            ObsEvent::EpochAdvanced {
+                tenant: 9,
+                epoch: 12,
+            },
+            ObsEvent::TenantShed {
+                tenant: 9,
+                epoch: 13,
+            },
+            ObsEvent::Context {
+                tenant: Some(9),
+                epoch: None,
+                shard: Some(u64::MAX),
+                round: None,
+            },
+            ObsEvent::BoundaryExchange {
+                round: 1,
+                shard: 6,
+                messages: 48,
+            },
+            ObsEvent::Note {
+                message: "say \"hi\"\n".to_owned(),
+            },
+        ];
         let mut sink = VecSink::new();
         write_jsonl(&runs, &mut sink).expect("in-memory serialize");
         let text = sink.lines.join("\n");
         let parsed = parse_jsonl(&text).expect("parse back");
+        assert_eq!(parsed, runs);
+
+        // Traces recorded with an older schema still replay: an event
+        // type this build no longer knows is skipped.
+        let legacy = r#"{"type":"event","event":"discrete_query","method":"enumeration","variables":2,"samples":0}"#;
+        let mut lines = sink.lines.clone();
+        lines.insert(1, legacy.to_owned());
+        let parsed = parse_jsonl(&lines.join("\n")).expect("parse legacy trace");
         assert_eq!(parsed, runs);
     }
 
