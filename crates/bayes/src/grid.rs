@@ -12,13 +12,12 @@
 //! The scatter kernels live in [`crate::stencil`]: each potential's table
 //! is classified once per run as separable (two 1-D passes), mirrored
 //! (quadrant storage for radially symmetric kernels), or dense, and the
-//! inner accumulates dispatch to runtime-detected SIMD
-//! ([`crate::cellbuf`]). Two opt-in throughput knobs ride on top:
-//! [`GridPrecision::F32`] runs the hot path in single precision, and
-//! [`CoarseToFine`] pre-solves on a reduced grid and carries concentrated
-//! beliefs up to the full resolution.
+//! inner accumulates dispatch to runtime-detected SIMD. One opt-in
+//! throughput knob rides on top: [`CoarseToFine`] pre-solves on a
+//! reduced grid and carries concentrated beliefs up to the full
+//! resolution.
 
-use crate::cellbuf::{self, Cell};
+use crate::cellbuf;
 use crate::engine::{BpEngine, RunOutcome, WarmStart};
 use crate::mrf::{BpOptions, BpOutcome, Schedule, SpatialMrf};
 use crate::potential::{PairPotential, UnaryPotential};
@@ -138,42 +137,14 @@ impl GridBelief {
     }
 
     fn normalize(&mut self) {
-        let total: f64 = self.mass.iter().sum();
-        if total > 0.0 && total.is_finite() {
-            for m in &mut self.mass {
-                *m /= total;
-            }
-        } else {
-            let cells = self.mass.len();
-            self.mass.fill(1.0 / cells as f64);
-        }
+        cellbuf::normalize_cells(&mut self.mass);
     }
 
     /// Pointwise product with another mass function on the same grid,
     /// renormalized; annihilation (zero overlap) falls back to uniform.
     pub fn product(&mut self, other: &[f64]) {
         assert_eq!(other.len(), self.mass.len(), "grid shape mismatch");
-        for (m, &o) in self.mass.iter_mut().zip(other) {
-            *m *= o;
-        }
-        self.normalize();
-    }
-
-    /// Builds a belief from cell-typed storage. For non-exact cell types
-    /// (f32) the widened masses are renormalized in f64 so downstream
-    /// audits see a distribution summing to 1 within f64 epsilon; for
-    /// f64 cells this is an exact copy.
-    fn from_cells<C: Cell>(domain: Aabb, nx: usize, ny: usize, cells: &[C]) -> GridBelief {
-        let mut b = GridBelief {
-            domain,
-            nx,
-            ny,
-            mass: C::to_f64_vec(cells),
-        };
-        if !C::EXACT {
-            b.normalize();
-        }
-        b
+        cellbuf::product_cells(&mut self.mass, other);
     }
 
     /// Piecewise-constant upsample onto a finer `nx × ny` grid over the
@@ -402,20 +373,6 @@ impl crate::sharded::TemperBelief for GridBelief {
     }
 }
 
-/// Guard against total annihilation downstream: a zero or non-finite
-/// message total is replaced by a flat message. Returns whether the
-/// fallback fired (callers surface it as
-/// [`ObsEvent::GridUniformFallback`]).
-fn finalize_message(msg: &mut [f64]) -> bool {
-    let total: f64 = msg.iter().sum();
-    if total <= 0.0 || !total.is_finite() {
-        msg.fill(1.0);
-        true
-    } else {
-        false
-    }
-}
-
 /// Computes the message from a source belief into a target grid through a
 /// distance potential, truncated at the potential's support radius.
 /// Returns the message and whether the uniform fallback fired.
@@ -454,7 +411,7 @@ fn kernel_message(
             }
         }
     }
-    let collapsed = finalize_message(&mut msg);
+    let collapsed = cellbuf::finalize_cells(&mut msg);
     (msg, collapsed)
 }
 
@@ -469,7 +426,7 @@ fn point_message(
     let mut msg: Vec<f64> = (0..target_shape.mass.len())
         .map(|t| potential.likelihood(target_shape.cell_center(t).dist(source_pos)))
         .collect();
-    let collapsed = finalize_message(&mut msg);
+    let collapsed = cellbuf::finalize_cells(&mut msg);
     (msg, collapsed)
 }
 
@@ -480,45 +437,35 @@ fn point_message(
 /// (fixed positions don't move), and the kernel tables of distance-only
 /// potentials (on a regular grid the likelihood depends only on the cell
 /// offset). The seed path recomputed all three inside every
-/// `update_one`; this cache hoists them out of the iteration loop. The
-/// cache is generic over the cell type: anchor messages, kernel tables,
-/// and initial cell buffers are stored pre-converted so the hot loop
-/// never touches f64⇄f32 conversions.
-struct MessageCache<C: Cell> {
+/// `update_one`; this cache hoists them out of the iteration loop.
+struct MessageCache {
     /// Initial beliefs: priors for free variables, deltas for fixed
-    /// ones (canonical f64 form, shared with the run's belief vector).
+    /// ones (shared with the run's belief vector).
     init: Vec<GridBelief>,
-    /// The same initial beliefs in cell-typed storage — each update's
-    /// starting product buffer.
-    init_cells: Vec<Vec<C>>,
     /// Per-edge anchor message — `Some` iff exactly one endpoint is
     /// fixed, computed in the fixed→free direction.
-    anchor_msgs: Vec<Option<Vec<C>>>,
+    anchor_msgs: Vec<Option<Vec<f64>>>,
     /// Per-edge index into `stencils` — `Some` iff both endpoints are
     /// free and the potential discretizes.
     edge_stencils: Vec<Option<usize>>,
     /// Deduplicated classified stencils: edges sharing a potential (by
     /// `Arc` identity) share one entry.
-    stencils: Vec<KernelStencil<C>>,
+    stencils: Vec<KernelStencil>,
 }
 
-impl<C: Cell> MessageCache<C> {
+impl MessageCache {
     fn build(
         mrf: &SpatialMrf,
         domain: Aabb,
         nx: usize,
         ny: usize,
         obs: &dyn InferenceObserver,
-    ) -> MessageCache<C> {
+    ) -> MessageCache {
         let init: Vec<GridBelief> = (0..mrf.len())
             .map(|u| match mrf.fixed(u) {
                 Some(p) => GridBelief::delta(p, domain, nx, ny),
                 None => GridBelief::from_unary(mrf.unary(u).as_ref(), domain, nx, ny),
             })
-            .collect();
-        let init_cells: Vec<Vec<C>> = init
-            .iter()
-            .map(|b| C::from_f64_vec(b.mass.clone()))
             .collect();
         // Geometry template for anchor messages: point_message reads only
         // cell centers, identical across all beliefs on this grid.
@@ -526,7 +473,7 @@ impl<C: Cell> MessageCache<C> {
         let (dx, dy) = shape.cell_size();
         let mut anchor_msgs = Vec::with_capacity(mrf.edges().len());
         let mut edge_stencils = Vec::with_capacity(mrf.edges().len());
-        let mut stencils: Vec<KernelStencil<C>> = Vec::new();
+        let mut stencils: Vec<KernelStencil> = Vec::new();
         let mut by_potential: HashMap<usize, Option<usize>> = HashMap::new();
         for (e, edge) in mrf.edges().iter().enumerate() {
             let anchor = match (mrf.fixed(edge.u), mrf.fixed(edge.v)) {
@@ -538,7 +485,7 @@ impl<C: Cell> MessageCache<C> {
                             stage: "point",
                         });
                     }
-                    Some(C::from_f64_vec(msg))
+                    Some(msg)
                 }
                 _ => None,
             };
@@ -550,7 +497,7 @@ impl<C: Cell> MessageCache<C> {
                     let key = Arc::as_ptr(&edge.potential) as *const () as usize;
                     *by_potential.entry(key).or_insert_with(|| {
                         KernelStencil::build(edge.potential.as_ref(), nx, ny, dx, dy).map(|s| {
-                            stencils.push(s.converted::<C>());
+                            stencils.push(s);
                             stencils.len() - 1
                         })
                     })
@@ -562,7 +509,6 @@ impl<C: Cell> MessageCache<C> {
         }
         MessageCache {
             init,
-            init_cells,
             anchor_msgs,
             edge_stencils,
             stencils,
@@ -570,37 +516,18 @@ impl<C: Cell> MessageCache<C> {
     }
 
     /// The cached anchor message for edge `e`, when one exists.
-    fn anchor(&self, e: usize) -> Option<&[C]> {
+    fn anchor(&self, e: usize) -> Option<&[f64]> {
         self.anchor_msgs.get(e).and_then(|m| m.as_deref())
     }
 
     /// The shared stencil for edge `e`, when the potential discretizes.
-    fn stencil(&self, e: usize) -> Option<&KernelStencil<C>> {
+    fn stencil(&self, e: usize) -> Option<&KernelStencil> {
         self.edge_stencils
             .get(e)
             .copied()
             .flatten()
             .and_then(|i| self.stencils.get(i))
     }
-}
-
-/// Numeric precision of the grid backend's message/product hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GridPrecision {
-    /// Double precision — the default. This path is bit-stable: it is
-    /// what the cache-equivalence property tests and the thread/schedule
-    /// determinism audit pin down.
-    #[default]
-    F64,
-    /// Single precision — an opt-in speed/accuracy trade-off. Kernel
-    /// tables, messages, and belief products run in f32 (halving memory
-    /// traffic and doubling SIMD lane width); beliefs handed back to
-    /// callers are widened and renormalized in f64. Accuracy contract:
-    /// per-cell belief masses track the f64 path to within single
-    /// precision (relative ~1e-6 per operation; sub-1e-38 tails flush
-    /// to zero), which bounds estimate drift far below a cell width on
-    /// realistic scenarios — asserted by the RMSE-drift tests.
-    F32,
 }
 
 /// Opt-in coarse-to-fine schedule for [`GridBp`].
@@ -708,7 +635,6 @@ pub struct GridBp {
     /// recompute-everything reference path, kept for equivalence tests
     /// and before/after benchmarks.
     pub cache_messages: bool,
-    precision: GridPrecision,
     refine: Option<CoarseToFine>,
 }
 
@@ -720,7 +646,6 @@ impl GridBp {
             ny: n,
             mass_floor: 1e-4,
             cache_messages: true,
-            precision: GridPrecision::default(),
             refine: None,
         }
     }
@@ -734,12 +659,6 @@ impl GridBp {
         self
     }
 
-    /// The same engine with the hot path running at `precision`.
-    pub fn with_precision(mut self, precision: GridPrecision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     /// The same engine with the coarse-to-fine schedule enabled.
     /// Callers should pass parameters through
     /// [`CoarseToFine::validated`]; degenerate values (a factor that
@@ -750,103 +669,16 @@ impl GridBp {
         self
     }
 
-    /// The hot-path precision this engine runs at.
-    pub fn precision(&self) -> GridPrecision {
-        self.precision
-    }
-
     /// The coarse-to-fine schedule, when enabled.
     pub fn refinement(&self) -> Option<CoarseToFine> {
         self.refine
     }
 
-    /// Coarse-to-fine wrapper: optionally pre-solve on a reduced grid,
-    /// then run at full resolution with concentrated coarse posteriors
-    /// carried over per node. The pre-solve is skipped when the caller
-    /// already supplied warm beliefs (they carry posterior structure of
-    /// their own) or when the coarse grid would degenerate.
-    fn run_refined<C: Cell, F>(
-        &self,
-        mrf: &SpatialMrf,
-        opts: &BpOptions,
-        transport: &Transport,
-        warm: WarmStart<'_, GridBelief>,
-        obs: &dyn InferenceObserver,
-        on_iter: F,
-    ) -> RunOutcome<GridBelief>
-    where
-        F: FnMut(usize, &[GridBelief]),
-    {
-        let mut carried: Option<Vec<Option<GridBelief>>> = None;
-        let mut pre_messages = 0u64;
-        if let Some(cf) = self.refine {
-            let f = cf.factor.max(1);
-            let (cnx, cny) = (self.nx / f, self.ny / f);
-            if warm.is_cold() && cf.factor >= 2 && cnx >= 2 && cny >= 2 {
-                let coarse = GridBp {
-                    nx: cnx,
-                    ny: cny,
-                    refine: None,
-                    ..*self
-                };
-                let mut copts = *opts;
-                copts.max_iterations = cf.coarse_iterations.max(1);
-                let out = coarse.run_grid::<C, _>(
-                    mrf,
-                    &copts,
-                    &Transport::perfect(),
-                    Warm::None,
-                    Warm::None,
-                    0,
-                    &NullObserver,
-                    |_, _| {},
-                );
-                pre_messages = out.bp.messages;
-                carried = Some(
-                    out.beliefs
-                        .into_iter()
-                        .enumerate()
-                        .map(|(u, b)| {
-                            if mrf.fixed(u).is_some() {
-                                return None;
-                            }
-                            if b.top_k_mass(cf.top_k) >= cf.concentration {
-                                Some(b.upsampled_to(self.nx, self.ny))
-                            } else {
-                                None
-                            }
-                        })
-                        .collect(),
-                );
-            }
-        }
-        let warm_ref = match (&carried, warm.prior) {
-            (Some(c), _) => Warm::PerNode(c),
-            (None, Some(w)) => Warm::All(w),
-            (None, None) => Warm::None,
-        };
-        let state_ref = match warm.state {
-            Some(s) => Warm::All(s),
-            None => Warm::None,
-        };
-        self.run_grid::<C, F>(
-            mrf,
-            opts,
-            transport,
-            warm_ref,
-            state_ref,
-            pre_messages,
-            obs,
-            on_iter,
-        )
-    }
-
-    /// One full BP run at this engine's resolution, generic over the
-    /// cell type of the message/product hot path. `pre_messages` seeds
+    /// One full BP run at this engine's resolution. `pre_messages` seeds
     /// the broadcast count (coarse-phase messages are real broadcasts in
     /// the protocol being simulated).
     #[allow(clippy::too_many_arguments)]
-    fn run_grid<C: Cell, F>(
+    fn run_grid<F>(
         &self,
         mrf: &SpatialMrf,
         opts: &BpOptions,
@@ -862,8 +694,7 @@ impl GridBp {
     {
         validate::enforce("GridBp::run", || GraphAudit.check_mrf(mrf));
         let domain = mrf.domain();
-        let floor64 = self.mass_floor / (self.nx * self.ny) as f64;
-        let floor = C::from_f64(floor64);
+        let floor = self.mass_floor / (self.nx * self.ny) as f64;
         let free = mrf.free_vars();
         obs.on_run_start(&RunInfo {
             backend: "grid",
@@ -889,7 +720,7 @@ impl GridBp {
         // and the initial beliefs are shared with the cache.
         let init_start = Stopwatch::start();
         let cache = if self.cache_messages {
-            Some(MessageCache::<C>::build(mrf, domain, self.nx, self.ny, obs))
+            Some(MessageCache::build(mrf, domain, self.nx, self.ny, obs))
         } else {
             None
         };
@@ -915,20 +746,6 @@ impl GridBp {
                 },
             }
         };
-        // The same base in cell-typed storage (the hot-path variant).
-        let base_cells = |u: usize| -> Vec<C> {
-            if mrf.fixed(u).is_none() {
-                if let Some(b) = warm.get(u) {
-                    if b.nx == self.nx && b.ny == self.ny && b.domain == domain {
-                        return C::from_f64_vec(b.mass.clone());
-                    }
-                }
-            }
-            match &cache {
-                Some(c) => c.init_cells[u].clone(),
-                None => C::from_f64_vec(base_belief(u).mass),
-            }
-        };
         // Initial belief state: a resumed state (same grid shape) wins
         // over the update base for free nodes; fixed nodes and everyone
         // else start from the base (prior or carried belief).
@@ -946,12 +763,6 @@ impl GridBp {
             (Some(c), Warm::None, Warm::None) => c.init.clone(),
             _ => (0..mrf.len()).map(init_belief).collect(),
         };
-        // Cell-typed mirror of `beliefs` the message kernels read from;
-        // kept in lockstep with `beliefs` after every node update.
-        let mut cells: Vec<Vec<C>> = beliefs
-            .iter()
-            .map(|b| C::from_f64_vec(b.mass.clone()))
-            .collect();
         obs.on_span(SpanKind::PriorInit, init_start.elapsed_secs());
 
         let mut outcome = BpOutcome {
@@ -982,11 +793,11 @@ impl GridBp {
                 None
             };
 
-            let update_one = |u: usize, beliefs: &Vec<GridBelief>, cells: &Vec<Vec<C>>| -> Vec<C> {
-                let mut bel = base_cells(u);
+            let update_one = |u: usize, beliefs: &[GridBelief]| -> Vec<f64> {
+                let mut bel = base_belief(u).mass;
                 // Message and separable-pass scratch, reused across edges.
-                let mut msg: Vec<C> = Vec::new();
-                let mut scratch: Vec<C> = Vec::new();
+                let mut msg: Vec<f64> = Vec::new();
+                let mut scratch: Vec<f64> = Vec::new();
                 for &e in mrf.edges_of(u) {
                     let v = mrf.other_end(e, u);
                     let potential = mrf.edges()[e].potential.as_ref();
@@ -1024,42 +835,35 @@ impl GridBp {
                                     cellbuf::product_cells(&mut bel, am);
                                 }
                             } else {
-                                let (m64, collapsed) = point_message(&shape, p, potential);
+                                let (mut m, collapsed) = point_message(&shape, p, potential);
                                 if collapsed {
                                     obs.on_event(&ObsEvent::GridUniformFallback {
                                         edge: e,
                                         stage: "point",
                                     });
                                 }
-                                let mut m = C::from_f64_vec(m64);
                                 cellbuf::temper_cells(&mut m, alpha);
                                 cellbuf::product_cells(&mut bel, &m);
                             }
                         }
                         None => {
+                            let source = held.unwrap_or(&beliefs[v]);
                             let collapsed = match cache.as_ref().and_then(|c| c.stencil(e)) {
                                 Some(st) => {
                                     msg.clear();
-                                    msg.resize(bel.len(), C::ZERO);
-                                    // Held snapshots (fault paths) are
-                                    // f64 beliefs; live sources read the
-                                    // cell-typed mirror directly.
-                                    let held_cells: Vec<C>;
-                                    let source: &[C] = match held {
-                                        Some(h) => {
-                                            held_cells = C::from_f64_vec(h.mass.clone());
-                                            &held_cells
-                                        }
-                                        None => &cells[v],
-                                    };
-                                    st.scatter(source, self.nx, floor, &mut msg, &mut scratch);
+                                    msg.resize(bel.len(), 0.0);
+                                    st.scatter(
+                                        &source.mass,
+                                        self.nx,
+                                        floor,
+                                        &mut msg,
+                                        &mut scratch,
+                                    );
                                     cellbuf::finalize_cells(&mut msg)
                                 }
                                 None => {
-                                    let source = held.unwrap_or(&beliefs[v]);
-                                    let (m64, collapsed) =
-                                        kernel_message(source, potential, floor64);
-                                    msg = C::from_f64_vec(m64);
+                                    let (m, collapsed) = kernel_message(source, potential, floor);
+                                    msg = m;
                                     collapsed
                                 }
                             };
@@ -1079,26 +883,24 @@ impl GridBp {
 
             match opts.schedule {
                 Schedule::Synchronous => {
-                    let new: Vec<(usize, Vec<C>)> = active
+                    let new: Vec<(usize, Vec<f64>)> = active
                         .par_iter()
-                        .map(|&u| (u, update_one(u, &beliefs, &cells)))
+                        .map(|&u| (u, update_one(u, &beliefs)))
                         .collect();
                     for (u, mut b) in new {
                         if opts.damping > 0.0 {
-                            cellbuf::damp_cells(&mut b, &cells[u], opts.damping);
+                            cellbuf::damp_cells(&mut b, &beliefs[u].mass, opts.damping);
                         }
-                        beliefs[u] = GridBelief::from_cells(domain, self.nx, self.ny, &b);
-                        cells[u] = b;
+                        beliefs[u].mass = b;
                     }
                 }
                 Schedule::Sweep => {
                     for &u in active {
-                        let mut b = update_one(u, &beliefs, &cells);
+                        let mut b = update_one(u, &beliefs);
                         if opts.damping > 0.0 {
-                            cellbuf::damp_cells(&mut b, &cells[u], opts.damping);
+                            cellbuf::damp_cells(&mut b, &beliefs[u].mass, opts.damping);
                         }
-                        beliefs[u] = GridBelief::from_cells(domain, self.nx, self.ny, &b);
-                        cells[u] = b;
+                        beliefs[u].mass = b;
                     }
                 }
             }
@@ -1184,6 +986,12 @@ impl BpEngine for GridBp {
     /// epoch's prior instead of re-applying the pre-knowledge unary it
     /// already absorbed; a `warm.state` belief seeds the initial belief
     /// vector only (mid-run resume against the model's own priors).
+    ///
+    /// With [`CoarseToFine`] enabled, a cold run first pre-solves on the
+    /// reduced grid and carries concentrated coarse posteriors over per
+    /// node. The pre-solve is skipped when the caller already supplied
+    /// warm beliefs (they carry posterior structure of their own) or
+    /// when the coarse grid would degenerate.
     fn run_warm<F>(
         &self,
         mrf: &SpatialMrf,
@@ -1196,14 +1004,68 @@ impl BpEngine for GridBp {
     where
         F: FnMut(usize, &[GridBelief]),
     {
-        match self.precision {
-            GridPrecision::F64 => {
-                self.run_refined::<f64, F>(mrf, opts, transport, warm, obs, on_iter)
-            }
-            GridPrecision::F32 => {
-                self.run_refined::<f32, F>(mrf, opts, transport, warm, obs, on_iter)
+        let mut carried: Option<Vec<Option<GridBelief>>> = None;
+        let mut pre_messages = 0u64;
+        if let Some(cf) = self.refine {
+            let f = cf.factor.max(1);
+            let (cnx, cny) = (self.nx / f, self.ny / f);
+            if warm.is_cold() && cf.factor >= 2 && cnx >= 2 && cny >= 2 {
+                let coarse = GridBp {
+                    nx: cnx,
+                    ny: cny,
+                    refine: None,
+                    ..*self
+                };
+                let mut copts = *opts;
+                copts.max_iterations = cf.coarse_iterations.max(1);
+                let out = coarse.run_grid(
+                    mrf,
+                    &copts,
+                    &Transport::perfect(),
+                    Warm::None,
+                    Warm::None,
+                    0,
+                    &NullObserver,
+                    |_, _| {},
+                );
+                pre_messages = out.bp.messages;
+                carried = Some(
+                    out.beliefs
+                        .into_iter()
+                        .enumerate()
+                        .map(|(u, b)| {
+                            if mrf.fixed(u).is_some() {
+                                return None;
+                            }
+                            if b.top_k_mass(cf.top_k) >= cf.concentration {
+                                Some(b.upsampled_to(self.nx, self.ny))
+                            } else {
+                                None
+                            }
+                        })
+                        .collect(),
+                );
             }
         }
+        let warm_ref = match (&carried, warm.prior) {
+            (Some(c), _) => Warm::PerNode(c),
+            (None, Some(w)) => Warm::All(w),
+            (None, None) => Warm::None,
+        };
+        let state_ref = match warm.state {
+            Some(s) => Warm::All(s),
+            None => Warm::None,
+        };
+        self.run_grid(
+            mrf,
+            opts,
+            transport,
+            warm_ref,
+            state_ref,
+            pre_messages,
+            obs,
+            on_iter,
+        )
     }
 }
 
@@ -1510,7 +1372,7 @@ mod tests {
         let mut cached = vec![0.0f64; 625];
         let mut scratch = Vec::new();
         st.scatter(src.mass(), 25, floor, &mut cached, &mut scratch);
-        let cache_collapsed = finalize_message(&mut cached);
+        let cache_collapsed = cellbuf::finalize_cells(&mut cached);
         assert_eq!(ref_collapsed, cache_collapsed);
         for (t, (a, b)) in reference.iter().zip(&cached).enumerate() {
             assert!(
@@ -1557,34 +1419,6 @@ mod tests {
                     "belief[{u}] cell {i}: cached {a} vs reference {b}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn f32_precision_tracks_f64_estimates() {
-        let mrf = four_node_mrf();
-        let opts = BpOptions::builder()
-            .max_iterations(6)
-            .tolerance(0.0)
-            .try_build()
-            .expect("valid options");
-        let (b64, o64) = GridBp::with_resolution(30).run(&mrf, &opts);
-        let (b32, o32) = GridBp::with_resolution(30)
-            .with_precision(GridPrecision::F32)
-            .run(&mrf, &opts);
-        assert_eq!(o64.iterations, o32.iterations);
-        for (u, (a, b)) in b64.iter().zip(&b32).enumerate() {
-            // Documented f32 contract: estimates drift far below a cell
-            // width (100m / 30 cells ≈ 3.3m).
-            assert!(
-                a.mean().dist(b.mean()) < 0.1,
-                "node {u}: f64 {} vs f32 {}",
-                a.mean(),
-                b.mean()
-            );
-            assert!(a.l1_distance(b) < 1e-2, "node {u} belief drift");
-            // f32-derived beliefs are renormalized to audit precision.
-            assert!((b.mass().iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
     }
 

@@ -25,7 +25,7 @@
 
 #![warn(missing_docs)]
 
-pub mod cellbuf;
+mod cellbuf;
 pub mod engine;
 pub mod gaussian;
 pub mod grid;
@@ -40,7 +40,7 @@ pub mod validate;
 
 pub use engine::{Belief, BpEngine, RunOutcome, WarmStart};
 pub use gaussian::{GaussianBelief, GaussianBp};
-pub use grid::{CoarseToFine, GridBelief, GridBp, GridPrecision};
+pub use grid::{CoarseToFine, GridBelief, GridBp};
 pub use motion::MotionModel;
 pub use mrf::{BpOptions, BpOptionsBuilder, BpOutcome, Schedule, SpatialMrf};
 pub use particle::{ParticleBelief, ParticleBp};

@@ -1,15 +1,15 @@
 //! Translation-invariant kernel stencils for grid message passing.
 //!
-//! A distance-only [`PairPotential`](crate::potential::PairPotential)
-//! depends on a cell pair only through the integer offset `(Δx, Δy)`, so
-//! the grid engine tabulates its likelihood once per run and the
-//! per-message scatter becomes table-lookup multiply–adds. This module
-//! classifies each table at build time into the cheapest of three forms:
+//! A distance-only [`PairPotential`] depends on a cell pair only through
+//! the integer offset `(Δx, Δy)`, so the grid engine tabulates its
+//! likelihood once per run and the per-message scatter becomes
+//! table-lookup multiply–adds. This module classifies each table at
+//! build time into the cheapest of three forms:
 //!
 //! - **Separable** — the table is (numerically) a rank-1 outer product
 //!   `K(Δx, Δy) = row(Δx) · col(Δy)` (detected by a max-pivot rank test,
 //!   or declared exactly via
-//!   [`PairPotential::discretized_kernel_separable`](crate::potential::PairPotential::discretized_kernel_separable)).
+//!   [`PairPotential::discretized_kernel_separable`]).
 //!   The 2-D scatter collapses into a horizontal pass followed by a
 //!   vertical pass: `(2rx+1) + (2ry+1)` multiply–adds per cell instead of
 //!   `(2rx+1)·(2ry+1)`.
@@ -22,37 +22,34 @@
 //! - **Dense** — anything else (asymmetric custom tables) keeps the full
 //!   `(2ry+1) × (2rx+1)` table and the original row-sliced scatter.
 //!
-//! All three scatter kernels are generic over [`Cell`] (f64 or f32) and
-//! drive the runtime-dispatched SIMD accumulates in [`crate::cellbuf`].
-//! They are `#[inline(never)]` and public so `crates/bench` can
-//! microbenchmark each form in isolation; the module is not a
-//! stability-guaranteed API.
+//! All three scatter kernels drive the runtime-dispatched SIMD
+//! accumulates of the grid engine's cell arithmetic. Each is
+//! `#[inline(never)]` so every form shows up as one symbol in profiles.
 
-use crate::cellbuf::Cell;
+use crate::cellbuf::axpy;
 use crate::potential::PairPotential;
 
 /// Storage form of a classified kernel table.
 #[derive(Debug, Clone)]
-enum StencilKind<C> {
+enum StencilKind {
     /// Full `(2ry+1) × (2rx+1)` table, row-major by `Δy`.
-    Dense { table: Vec<C> },
+    Dense { table: Vec<f64> },
     /// Non-negative quadrant `(ry+1) × (rx+1)`, row-major by `|Δy|`.
-    Mirrored { quadrant: Vec<C> },
+    Mirrored { quadrant: Vec<f64> },
     /// Rank-1 factors: `row` over `Δx ∈ −rx..=rx`, `col` over
     /// `Δy ∈ −ry..=ry`; the kernel entry is `col[Δy+ry] · row[Δx+rx]`.
-    Separable { row: Vec<C>, col: Vec<C> },
+    Separable { row: Vec<f64>, col: Vec<f64> },
 }
 
-/// A classified, possibly down-converted kernel table with its support
-/// radii in cells.
+/// A classified kernel table with its support radii in cells.
 #[derive(Debug, Clone)]
-pub struct KernelStencil<C> {
+pub struct KernelStencil {
     rx: isize,
     ry: isize,
-    kind: StencilKind<C>,
+    kind: StencilKind,
 }
 
-impl KernelStencil<f64> {
+impl KernelStencil {
     /// Tabulates and classifies `potential` for an `nx × ny` grid with
     /// cell size `(dx, dy)`. `None` when the potential opts out of
     /// discretization or returns a malformed table/factors (callers then
@@ -69,7 +66,7 @@ impl KernelStencil<f64> {
         ny: usize,
         dx: f64,
         dy: f64,
-    ) -> Option<KernelStencil<f64>> {
+    ) -> Option<KernelStencil> {
         let (rx, ry) = match potential.max_distance() {
             Some(r) => ((r / dx).ceil() as isize, (r / dy).ceil() as isize),
             None => (nx as isize, ny as isize),
@@ -98,7 +95,7 @@ impl KernelStencil<f64> {
     ///
     /// # Panics
     /// When `table.len() != (2rx+1)·(2ry+1)`.
-    pub fn classify(rx: usize, ry: usize, table: Vec<f64>) -> KernelStencil<f64> {
+    pub fn classify(rx: usize, ry: usize, table: Vec<f64>) -> KernelStencil {
         assert_eq!(
             table.len(),
             (2 * rx + 1) * (2 * ry + 1),
@@ -113,34 +110,11 @@ impl KernelStencil<f64> {
         KernelStencil::dense(rx, ry, table)
     }
 
-    /// Converts the f64 classification into cell type `D`, rounding every
-    /// stored table entry (the identity for `D = f64`).
-    pub fn converted<D: Cell>(&self) -> KernelStencil<D> {
-        let conv = |v: &[f64]| v.iter().map(|&x| D::from_f64(x)).collect::<Vec<D>>();
-        let kind = match &self.kind {
-            StencilKind::Dense { table } => StencilKind::Dense { table: conv(table) },
-            StencilKind::Mirrored { quadrant } => StencilKind::Mirrored {
-                quadrant: conv(quadrant),
-            },
-            StencilKind::Separable { row, col } => StencilKind::Separable {
-                row: conv(row),
-                col: conv(col),
-            },
-        };
-        KernelStencil {
-            rx: self.rx,
-            ry: self.ry,
-            kind,
-        }
-    }
-}
-
-impl<C: Cell> KernelStencil<C> {
     /// A dense stencil from a full `(2ry+1) × (2rx+1)` table.
     ///
     /// # Panics
     /// When the table length does not match the radii.
-    pub fn dense(rx: usize, ry: usize, table: Vec<C>) -> KernelStencil<C> {
+    pub fn dense(rx: usize, ry: usize, table: Vec<f64>) -> KernelStencil {
         assert_eq!(
             table.len(),
             (2 * rx + 1) * (2 * ry + 1),
@@ -157,7 +131,7 @@ impl<C: Cell> KernelStencil<C> {
     ///
     /// # Panics
     /// When the quadrant length does not match the radii.
-    pub fn mirrored(rx: usize, ry: usize, quadrant: Vec<C>) -> KernelStencil<C> {
+    pub fn mirrored(rx: usize, ry: usize, quadrant: Vec<f64>) -> KernelStencil {
         assert_eq!(
             quadrant.len(),
             (rx + 1) * (ry + 1),
@@ -174,7 +148,7 @@ impl<C: Cell> KernelStencil<C> {
     ///
     /// # Panics
     /// When the factor lengths do not match the radii.
-    pub fn separable(rx: usize, ry: usize, row: Vec<C>, col: Vec<C>) -> KernelStencil<C> {
+    pub fn separable(rx: usize, ry: usize, row: Vec<f64>, col: Vec<f64>) -> KernelStencil {
         assert_eq!(row.len(), 2 * rx + 1, "row factor shape mismatch");
         assert_eq!(col.len(), 2 * ry + 1, "column factor shape mismatch");
         KernelStencil {
@@ -217,7 +191,14 @@ impl<C: Cell> KernelStencil<C> {
     /// through this stencil, skipping source cells below `floor`. `out`
     /// must be zeroed by the caller; `temp` is scratch reused across
     /// calls (only the separable form touches it).
-    pub fn scatter(&self, src: &[C], nx: usize, floor: C, out: &mut [C], temp: &mut Vec<C>) {
+    pub fn scatter(
+        &self,
+        src: &[f64],
+        nx: usize,
+        floor: f64,
+        out: &mut [f64],
+        temp: &mut Vec<f64>,
+    ) {
         match &self.kind {
             StencilKind::Dense { table } => {
                 scatter_dense(self.rx, self.ry, table, src, nx, floor, out);
@@ -296,14 +277,14 @@ fn fold_quadrant(table: &[f64], rx: usize, ry: usize) -> Option<Vec<f64>> {
 /// Dense scatter: per source cell above `floor`, accumulate the clamped
 /// kernel window row by row over contiguous slices.
 #[inline(never)]
-pub fn scatter_dense<C: Cell>(
+pub(crate) fn scatter_dense(
     rx: isize,
     ry: isize,
-    table: &[C],
-    src: &[C],
+    table: &[f64],
+    src: &[f64],
     nx: usize,
-    floor: C,
-    out: &mut [C],
+    floor: f64,
+    out: &mut [f64],
 ) {
     let ny = out.len() / nx;
     let width = 2 * rx as usize + 1;
@@ -322,7 +303,7 @@ pub fn scatter_dense<C: Cell>(
             let k0 = krow + (x0 - sx + rx) as usize;
             let t0 = y as usize * nx + x0 as usize;
             let cols = (x1 - x0) as usize + 1;
-            C::axpy(&mut out[t0..t0 + cols], m, &table[k0..k0 + cols]);
+            axpy(&mut out[t0..t0 + cols], m, &table[k0..k0 + cols]);
         }
     }
 }
@@ -340,15 +321,15 @@ pub fn scatter_dense<C: Cell>(
 /// SIMD lane-reversal.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
-pub fn scatter_mirrored<C: Cell>(
+pub(crate) fn scatter_mirrored(
     rx: isize,
     ry: isize,
-    quadrant: &[C],
-    src: &[C],
+    quadrant: &[f64],
+    src: &[f64],
     nx: usize,
-    floor: C,
-    out: &mut [C],
-    temp: &mut Vec<C>,
+    floor: f64,
+    out: &mut [f64],
+    temp: &mut Vec<f64>,
 ) {
     let ny = out.len() / nx;
     let qw = rx as usize + 1;
@@ -356,7 +337,7 @@ pub fn scatter_mirrored<C: Cell>(
     // Unfold |Δx| mirroring: row `qy` of scratch holds the full kernel
     // row for |Δy| = qy.
     temp.clear();
-    temp.resize((ry as usize + 1) * width, C::ZERO);
+    temp.resize((ry as usize + 1) * width, 0.0);
     for qy in 0..=ry as usize {
         let qrow = &quadrant[qy * qw..qy * qw + qw];
         let frow = &mut temp[qy * width..(qy + 1) * width];
@@ -379,7 +360,7 @@ pub fn scatter_mirrored<C: Cell>(
         for y in y0..=y1 {
             let krow = (y - sy).unsigned_abs() * width;
             let t0 = y as usize * nx + x0 as usize;
-            C::axpy(
+            axpy(
                 &mut out[t0..t0 + cols],
                 m,
                 &temp[krow + k0..krow + k0 + cols],
@@ -395,20 +376,20 @@ pub fn scatter_mirrored<C: Cell>(
 /// no mass are skipped.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
-pub fn scatter_separable<C: Cell>(
+pub(crate) fn scatter_separable(
     rx: isize,
     ry: isize,
-    row: &[C],
-    col: &[C],
-    src: &[C],
+    row: &[f64],
+    col: &[f64],
+    src: &[f64],
     nx: usize,
-    floor: C,
-    out: &mut [C],
-    temp: &mut Vec<C>,
+    floor: f64,
+    out: &mut [f64],
+    temp: &mut Vec<f64>,
 ) {
     let ny = out.len() / nx;
     temp.clear();
-    temp.resize(out.len(), C::ZERO);
+    temp.resize(out.len(), 0.0);
     for (s, &m) in src.iter().enumerate() {
         if m < floor {
             continue;
@@ -420,11 +401,11 @@ pub fn scatter_separable<C: Cell>(
         let k0 = (x0 - sx + rx) as usize;
         let t0 = sy * nx + x0 as usize;
         let cols = (x1 - x0) as usize + 1;
-        C::axpy(&mut temp[t0..t0 + cols], m, &row[k0..k0 + cols]);
+        axpy(&mut temp[t0..t0 + cols], m, &row[k0..k0 + cols]);
     }
     for sy in 0..ny {
         let trow = &temp[sy * nx..(sy + 1) * nx];
-        if trow.iter().all(|&v| v == C::ZERO) {
+        if trow.iter().all(|&v| v == 0.0) {
             continue;
         }
         let y0 = (sy as isize - ry).max(0);
@@ -432,7 +413,7 @@ pub fn scatter_separable<C: Cell>(
         for ty in y0..=y1 {
             let c = col[(ty - sy as isize + ry) as usize];
             let t = ty as usize * nx;
-            C::axpy(&mut out[t..t + nx], c, trow);
+            axpy(&mut out[t..t + nx], c, trow);
         }
     }
 }
@@ -451,7 +432,7 @@ mod tests {
             .collect()
     }
 
-    fn scatter_ref(st: &KernelStencil<f64>, src: &[f64], nx: usize, floor: f64) -> Vec<f64> {
+    fn scatter_ref(st: &KernelStencil, src: &[f64], nx: usize, floor: f64) -> Vec<f64> {
         let mut out = vec![0.0; src.len()];
         let mut temp = Vec::new();
         st.scatter(src, nx, floor, &mut out, &mut temp);
@@ -618,33 +599,6 @@ mod tests {
             assert!(
                 (x - y).abs() <= 1e-12 * x.abs().max(1.0),
                 "cell {i}: dense {x} vs separable {y}"
-            );
-        }
-    }
-
-    #[test]
-    fn f32_conversion_tracks_f64_within_single_precision() {
-        let pot = GaussianRange {
-            observed: 25.0,
-            sigma: 4.0,
-        };
-        let (nx, ny) = (20usize, 20usize);
-        let st64 = KernelStencil::build(&pot, nx, ny, 5.0, 5.0).expect("discretizes");
-        let st32 = st64.converted::<f32>();
-        assert_eq!(st64.kind_name(), st32.kind_name());
-        let src64 = random_src(nx, ny, 9);
-        let src32: Vec<f32> = src64.iter().map(|&x| x as f32).collect();
-        let floor = 1e-4 / (nx * ny) as f64;
-        let a = scatter_ref(&st64, &src64, nx, floor);
-        let mut b32 = vec![0.0f32; nx * ny];
-        let mut temp = Vec::new();
-        st32.scatter(&src32, nx, floor as f32, &mut b32, &mut temp);
-        for (i, (x, y)) in a.iter().zip(&b32).enumerate() {
-            // Documented f32 contract: per-cell relative error within a
-            // few hundred f32 ulps of the f64 reference.
-            assert!(
-                (x - f64::from(*y)).abs() <= 5e-5 * x.abs().max(1e-3),
-                "cell {i}: f64 {x} vs f32 {y}"
             );
         }
     }

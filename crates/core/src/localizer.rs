@@ -356,8 +356,7 @@ impl BnlLocalizer {
                     Some(CarriedBeliefs::Grid(v)) => Some(v.as_slice()),
                     _ => None,
                 };
-                let mut engine =
-                    GridBp::with_resolution(gopts.resolution).with_precision(gopts.precision);
+                let mut engine = GridBp::with_resolution(gopts.resolution);
                 if let Some(refine) = gopts.refine {
                     engine = engine.with_refinement(refine);
                 }

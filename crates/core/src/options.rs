@@ -9,7 +9,7 @@
 //! count or halo radius fails where it is written, not iterations later
 //! inside `try_build` (or worse, inside a run).
 
-use wsnloc_bayes::{CoarseToFine, GridPrecision, ValidationError};
+use wsnloc_bayes::{CoarseToFine, ValidationError};
 
 /// Options for the nonparametric (particle) backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,20 +38,17 @@ impl ParticleOptions {
 }
 
 /// Options for the grid (discrete Bayesian-network) backend: resolution
-/// plus the numeric-precision and coarse-to-fine knobs that are
-/// meaningless on any other backend — which is why they live here and
-/// not on the localizer builder.
+/// plus the coarse-to-fine knob. The knob is meaningless on any other
+/// backend, which is why it lives here and not on the localizer builder.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridOptions {
     pub(crate) resolution: usize,
-    pub(crate) precision: GridPrecision,
     pub(crate) refine: Option<CoarseToFine>,
 }
 
 impl GridOptions {
     /// `resolution` cells along each axis of the field bounding box;
-    /// must be at least 2. Precision defaults to
-    /// [`GridPrecision::F64`], coarse-to-fine refinement to off.
+    /// must be at least 2. Coarse-to-fine refinement defaults to off.
     pub fn new(resolution: usize) -> Result<Self, ValidationError> {
         if resolution < 2 {
             return Err(ValidationError::InvalidOption {
@@ -62,17 +59,8 @@ impl GridOptions {
         }
         Ok(GridOptions {
             resolution,
-            precision: GridPrecision::default(),
             refine: None,
         })
-    }
-
-    /// Selects the numeric precision of the grid message hot path.
-    /// [`GridPrecision::F32`] is an opt-in speed/accuracy trade-off.
-    #[must_use]
-    pub fn precision(mut self, precision: GridPrecision) -> Self {
-        self.precision = precision;
-        self
     }
 
     /// Enables the coarse-to-fine schedule, validated here.
@@ -169,11 +157,7 @@ mod tests {
     fn grid_options_validate_at_construction() {
         assert!(GridOptions::new(0).is_err());
         assert!(GridOptions::new(1).is_err());
-        let g = GridOptions::new(25)
-            .expect("valid")
-            .precision(GridPrecision::F32);
-        assert_eq!(g.resolution(), 25);
-        assert_eq!(g.precision, GridPrecision::F32);
+        assert_eq!(GridOptions::new(25).expect("valid").resolution(), 25);
         // Refinement parameters are checked when attached.
         let bad = CoarseToFine {
             factor: 1,

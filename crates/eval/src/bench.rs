@@ -1,14 +1,12 @@
 //! Pinned perf benchmarks behind `repro bench`.
 //!
-//! Unlike the statistical harness in `crates/bench`, these run fixed
-//! scenarios and emit compact JSON (`BENCH_grid.json`,
-//! `BENCH_particle.json`, `BENCH_stream.json`) meant to be committed
-//! alongside the code, so
-//! the perf trajectory of the message-passing hot path is visible in
-//! review diffs. The grid bench times the same inference twice — with
-//! the per-run message cache (kernel stencils + hoisted priors/anchor
-//! messages) and on the recompute-everything reference path — and
-//! reports the speedup.
+//! These run fixed scenarios and emit compact JSON (`BENCH_grid.json`,
+//! `BENCH_particle.json`, `BENCH_scale.json`, `BENCH_stream.json`)
+//! meant to be committed alongside the code, so the perf trajectory of
+//! the message-passing hot path is visible in review diffs. The grid
+//! bench times the same inference twice — with the per-run message
+//! cache (kernel stencils + hoisted priors/anchor messages) and on the
+//! recompute-everything reference path — and reports the speedup.
 
 use std::sync::Arc;
 use wsnloc_bayes::{
@@ -25,6 +23,12 @@ pub const GRID_RESOLUTION: usize = 30;
 /// Iteration cap of the pinned grid scenario.
 pub const GRID_ITERATIONS: usize = 3;
 
+/// Gaussian BP runs per timing sample of the particle bench. One run of
+/// the pinned scenario takes tens of microseconds, within scheduler
+/// noise, so each sample times a batch lasting several milliseconds and
+/// reports the per-run mean.
+pub const GAUSSIAN_BATCH: usize = 256;
+
 /// Median wall seconds over `samples` executions of `f`.
 fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
     let mut times: Vec<f64> = (0..samples.max(1))
@@ -40,8 +44,7 @@ fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
 
 /// The pinned grid scenario: a 3×3 lattice (two opposite corners
 /// anchored) on a 300×300 m field, ranging edges between lattice
-/// neighbors — the `grid_bp_iteration_9nodes_30x30` microbench fixture
-/// with a multi-iteration cap.
+/// neighbors, with a multi-iteration cap.
 fn grid_fixture() -> (SpatialMrf, BpOptions) {
     let domain = Aabb::from_size(300.0, 300.0);
     let mut mrf = SpatialMrf::new(9, domain, Arc::new(UniformBoxUnary(domain)));
@@ -73,8 +76,7 @@ fn grid_fixture() -> (SpatialMrf, BpOptions) {
 }
 
 /// The pinned particle/Gaussian scenario: 25 random nodes (3 anchored)
-/// on a 300×300 m field with 120 m ranging radius — the
-/// `particle_bp_iteration_25nodes` microbench fixture.
+/// on a 300×300 m field with 120 m ranging radius, one iteration.
 fn cooperative_fixture() -> (SpatialMrf, BpOptions) {
     let domain = Aabb::from_size(300.0, 300.0);
     let mut mrf = SpatialMrf::new(25, domain, Arc::new(UniformBoxUnary(domain)));
@@ -161,8 +163,10 @@ pub fn particle_bench_json(samples: usize) -> String {
     let gaussian_engine = GaussianBp::default();
     let (_, gaussian_outcome) = gaussian_engine.run(&mrf, &opts);
     let gaussian_secs = median_secs(samples, || {
-        gaussian_engine.run(&mrf, &opts);
-    });
+        for _ in 0..GAUSSIAN_BATCH {
+            gaussian_engine.run(&mrf, &opts);
+        }
+    }) / GAUSSIAN_BATCH as f64;
     format!(
         concat!(
             "{{\n",
@@ -250,15 +254,6 @@ fn sharded_fixture(nodes: usize) -> (SpatialMrf, Arc<ShardLayout>) {
     ));
     (mrf, layout)
 }
-
-/// Kernel microbench context pinned alongside the sweep (static text so
-/// `--check` compares it exactly; re-measure with
-/// `cargo bench -p wsnloc-bench --bench stencil` when the kernels
-/// change). The numbers summarize `crates/bench/benches/stencil.rs` on
-/// the reference machine.
-pub const SCALE_NOTES: &str = "stencil microbench (30x30 grid, r=9): \
-separable 8.5x vs dense f64; mirrored matches dense speed at half the \
-table footprint; f32 ~1.1x vs same-kind f64";
 
 /// Runs the scale sweeps and returns the `BENCH_scale.json` (or, with
 /// `quick`, `BENCH_scale_quick.json`) contents.
@@ -352,7 +347,6 @@ fn scale_bench_json_for(
             "  \"bench\": \"scale_sweep\",\n",
             "  \"mode\": \"{mode}\",\n",
             "  \"samples\": {samples},\n",
-            "  \"notes\": \"{notes}\",\n",
             "  \"grid\": {{\n",
             "    \"scenario\": \"lattice_9nodes_300x300\",\n",
             "    \"iterations\": 1,\n",
@@ -373,7 +367,6 @@ fn scale_bench_json_for(
         ),
         mode = mode,
         samples = samples.max(1),
-        notes = SCALE_NOTES,
         grid_rows = grid_rows,
         shard_iters = SHARD_SCALE_ITERATIONS,
         target = SHARD_SCALE_TARGET,
@@ -638,7 +631,6 @@ mod tests {
         assert!(json.contains("\"nodes\": 1000"), "{json}");
         assert!(json.contains("\"flat_secs\""));
         assert!(json.contains("\"sharded_secs\""));
-        assert!(json.contains("\"notes\""));
         // The sweep output round-trips the checker against itself.
         let failures = check_bench_json(&json, &json, 1.0).expect("parses");
         assert!(failures.is_empty(), "self-check failed: {failures:?}");

@@ -41,7 +41,7 @@
 //!   (self/child split, flame-table rendering) over the fixed BP span
 //!   hierarchy; [`Stopwatch`] is the one sanctioned timing primitive
 //!   outside this crate (enforced by `cargo xtask lint`).
-//! - [`analyze_str`] / [`replay`] — parse `trace.jsonl` back into
+//! - [`analyze_str`] / [`replay()`] — parse `trace.jsonl` back into
 //!   [`RunTrace`]s and feed them through the same observers a live run
 //!   uses, so `repro analyze` and in-process metrics share one path.
 //!

@@ -5,7 +5,7 @@
 //! [`write_jsonl`](crate::write_jsonl) encoder and this parser are
 //! exact inverses for every finite value (Rust prints f64 in
 //! shortest-round-trip form and parses it back correctly rounded), and
-//! the [`MetricsObserver`](crate::MetricsObserver) fold is
+//! the [`MetricsObserver`] fold is
 //! order-insensitive, so replaying a recorded trace reproduces the live
 //! run's metrics snapshot exactly. `repro analyze` is a thin CLI over
 //! [`analyze_str`].

@@ -15,13 +15,19 @@
 //! {"type":"event","event":"map_fallback_to_mmse","backend":..}
 //! {"type":"event","event":"grid_uniform_fallback","edge":..,"stage":"kernel|point"}
 //! {"type":"event","event":"thread_pool_fallback","requested":..,"error":..}
+//! {"type":"event","event":"message_dropped","iteration":..,"count":..}
+//! {"type":"event","event":"node_died","iteration":..,"node":..}
+//! {"type":"event","event":"stale_message_used","iteration":..,"count":..}
 //! {"type":"event","event":"epoch_advanced","tenant":..,"epoch":..}
 //! {"type":"event","event":"tenant_shed","tenant":..,"epoch":..}
+//! {"type":"event","event":"context","tenant":..,"epoch":..,"shard":..,"round":..}
+//! {"type":"event","event":"boundary_exchange","round":..,"shard":..,"messages":..}
 //! {"type":"event","event":"note","message":..}
 //! {"type":"run_end","iterations":..,"converged":..,"messages":..,"bytes":..}
 //! ```
 //!
-//! Non-finite floats serialize as `null` (JSON has no NaN/Infinity).
+//! Non-finite floats serialize as `null` (JSON has no NaN/Infinity);
+//! the optional `context` fields serialize as `null` when unset.
 //! Records of one run appear contiguously, `run_start` first, `run_end`
 //! last, so a reader can replay runs by splitting on `run_start`.
 
@@ -427,6 +433,98 @@ mod tests {
             .any(|l| l.contains("\"event\":\"thread_pool_fallback\"")
                 && l.contains("\"requested\":8")
                 && l.contains("\"error\":\"no threads\"")));
+    }
+
+    /// One instance of every [`ObsEvent`] variant. The match is
+    /// exhaustive on purpose: a new variant fails to compile here until
+    /// it is added to the list.
+    fn every_event() -> Vec<ObsEvent> {
+        let events = vec![
+            ObsEvent::MapFallbackToMmse {
+                backend: "particle",
+            },
+            ObsEvent::GridUniformFallback {
+                edge: 7,
+                stage: "kernel",
+            },
+            ObsEvent::ThreadPoolFallback {
+                requested: 3,
+                error: "no threads".to_owned(),
+            },
+            ObsEvent::MessageDropped {
+                iteration: 0,
+                count: 3,
+            },
+            ObsEvent::NodeDied {
+                iteration: 2,
+                node: 5,
+            },
+            ObsEvent::StaleMessageUsed {
+                iteration: 1,
+                count: 4,
+            },
+            ObsEvent::EpochAdvanced {
+                tenant: 9,
+                epoch: 12,
+            },
+            ObsEvent::TenantShed {
+                tenant: 9,
+                epoch: 13,
+            },
+            ObsEvent::Context {
+                tenant: Some(9),
+                epoch: None,
+                shard: Some(2),
+                round: None,
+            },
+            ObsEvent::BoundaryExchange {
+                round: 1,
+                shard: 6,
+                messages: 48,
+            },
+            ObsEvent::Note {
+                message: "hi".to_owned(),
+            },
+        ];
+        for event in &events {
+            match event {
+                ObsEvent::MapFallbackToMmse { .. }
+                | ObsEvent::GridUniformFallback { .. }
+                | ObsEvent::ThreadPoolFallback { .. }
+                | ObsEvent::MessageDropped { .. }
+                | ObsEvent::NodeDied { .. }
+                | ObsEvent::StaleMessageUsed { .. }
+                | ObsEvent::EpochAdvanced { .. }
+                | ObsEvent::TenantShed { .. }
+                | ObsEvent::Context { .. }
+                | ObsEvent::BoundaryExchange { .. }
+                | ObsEvent::Note { .. } => {}
+            }
+        }
+        events
+    }
+
+    #[test]
+    fn schema_docs_list_every_event() {
+        let module_doc: String = include_str!("sink.rs")
+            .lines()
+            .take_while(|l| l.starts_with("//!"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let readme = include_str!("../../../README.md");
+        let start = readme
+            .find("{\"type\":\"run_start\"")
+            .expect("README documents the JSONL schema");
+        let end = start + readme[start..].find("```").expect("schema block ends");
+        let readme_block = &readme[start..end];
+        for event in every_event() {
+            let line = event_line(&event);
+            let at = line.find("\"event\":\"").expect("event tag") + "\"event\":\"".len();
+            let name = &line[at..at + line[at..].find('"').expect("closing quote")];
+            let tag = format!("\"event\":\"{name}\"");
+            assert!(module_doc.contains(&tag), "sink.rs schema omits {tag}");
+            assert!(readme_block.contains(&tag), "README schema omits {tag}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! | `lossy-cast-audit`     | `wsnloc-bayes` + `wsnloc` core | narrowing `as` casts (`u8`/`u16`/`u32`/`i8`/`i16`/`i32`/`f32`) that can truncate or wrap — use `try_from`/checked conversions |
 //!
 //! "full" scope is the library crates plus `compat/rayon` and `xtask`
-//! itself; "harness" is the evaluation/bench roots, which may panic on
+//! itself; "harness" is the evaluation root (`crates/eval`), which may panic on
 //! broken configs but must stay deterministic and observable. Audited
 //! exceptions live in `xtask-lint.toml` (see [`crate::allowlist`]).
 
@@ -54,9 +54,10 @@ const FULL_ROOTS: [&str; 9] = [
 ];
 
 /// Roots where only the determinism/observability rules apply: the
-/// evaluation harness may panic on broken configs, but silent
-/// nondeterminism there invalidates every reported number.
-const HARNESS_ROOTS: [&str; 2] = ["crates/eval", "crates/bench"];
+/// evaluation harness (experiments and `repro bench`) may panic on
+/// broken configs, but silent nondeterminism there invalidates every
+/// reported number.
+const HARNESS_ROOTS: [&str; 1] = ["crates/eval"];
 
 /// Which rule set applies to a scan root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -500,7 +501,7 @@ fn live() { caught.unwrap(); }\n";
         let found = rules("crates/obs/src/x.rs", text, Scope::Full);
         assert_eq!(found, vec!["no-println", "no-println"]);
 
-        // The rule also covers the harness roots (eval/bench)...
+        // The rule also covers the harness root (eval)...
         assert_eq!(rules("crates/eval/src/x.rs", text, Scope::Harness).len(), 2);
 
         // ...but binary targets are CLI surfaces and exempt — including
@@ -517,7 +518,7 @@ fn live() { caught.unwrap(); }\n";
             vec!["no-instant"]
         );
         assert_eq!(
-            rules("crates/bench/src/x.rs", text, Scope::Harness),
+            rules("crates/eval/src/x.rs", text, Scope::Harness),
             vec!["no-instant"]
         );
         assert!(rules("crates/obs/src/profiler.rs", text, Scope::Full).is_empty());
