@@ -3,16 +3,12 @@
 //! Each backend (grid, particle, Gaussian) implements exactly one
 //! required method, [`BpEngine::run_warm`]: the superset entry point
 //! taking a [`Transport`] and a [`WarmStart`] describing how beliefs are
-//! seeded (cold, epoch carry-over, or mid-run state resume). The other
-//! entry points are provided on top of it:
-//!
-//! - [`BpEngine::run_carried`]: streaming/tracking callers thread last
-//!   epoch's posterior (motion-convolved) back in;
-//! - [`BpEngine::run_transported`]: cold start with fault injection and
-//!   structured telemetry, returning a [`RunOutcome`];
-//! - [`BpEngine::run`] and [`BpEngine::run_with`]: cold start on the
-//!   perfect transport, returning `(beliefs, outcome)`, without and with
-//!   a telemetry observer.
+//! seeded (cold, epoch carry-over, or mid-run state resume). Streaming
+//! and tracking callers thread last epoch's posterior (motion-convolved)
+//! back in through [`WarmStart::carried`]. Two shorthands are provided
+//! on top of it: [`BpEngine::run`] and [`BpEngine::run_with`] run a cold
+//! start on the perfect transport and return `(beliefs, outcome)`,
+//! without and with a telemetry observer.
 //!
 //! [`Belief`] is the minimal read surface the core localizer needs to
 //! turn a backend's belief into a point estimate without knowing which
@@ -63,10 +59,10 @@ pub struct RunOutcome<B> {
 ///   the resume semantics sharded execution needs: an outer round
 ///   continues a run mid-flight without double-counting measurements.
 ///
-/// [`WarmStart::carried`] sets both to the same slice — the historical
-/// `run_carried` behavior, bit for bit. [`WarmStart::resume`] sets only
-/// `state`. Both slices, when present, must hold one belief per MRF
-/// variable; entries for fixed (anchor) variables are ignored.
+/// [`WarmStart::carried`] sets both to the same slice (epoch
+/// carry-over). [`WarmStart::resume`] sets only `state`. Both slices,
+/// when present, must hold one belief per MRF variable; entries for
+/// fixed (anchor) variables are ignored.
 #[derive(Debug)]
 pub struct WarmStart<'a, B> {
     /// Epoch prior shadowing each free node's unary in updates.
@@ -94,8 +90,9 @@ impl<'a, B> WarmStart<'a, B> {
     }
 
     /// Epoch carry-over: `beliefs` replace both the prior-derived
-    /// initial state *and* the unary in every update (the historical
-    /// warm-start semantics of `run_carried`).
+    /// initial state *and* the unary in every update, so a posterior
+    /// carried over from a previous epoch is not double-counted against
+    /// the pre-knowledge unary it already absorbed.
     #[must_use]
     pub fn carried(beliefs: &'a [B]) -> Self {
         WarmStart {
@@ -125,7 +122,7 @@ impl<'a, B> WarmStart<'a, B> {
 
 /// A loopy-BP inference engine over a [`SpatialMrf`].
 ///
-/// One required method; the convenience quartet is provided. All
+/// One required method; the two cold-start shorthands are provided. All
 /// engines are deterministic in (`mrf`, `opts`, transport plan, warm
 /// beliefs): the same inputs give bit-identical beliefs.
 pub trait BpEngine {
@@ -158,57 +155,9 @@ pub trait BpEngine {
     where
         F: FnMut(usize, &[Self::Belief]);
 
-    /// Epoch carry-over entry point: each free variable's carried
-    /// belief replaces its prior-derived initial belief *and* acts as
-    /// the epoch prior in every update, so a posterior carried over
-    /// from a previous epoch (convolved with a motion model by the
-    /// caller) is not double-counted against the pre-knowledge unary it
-    /// already absorbed. `warm = None` is the cold start.
-    fn run_carried<F>(
-        &self,
-        mrf: &SpatialMrf,
-        opts: &BpOptions,
-        transport: &Transport,
-        warm: Option<&[Self::Belief]>,
-        obs: &dyn InferenceObserver,
-        on_iter: F,
-    ) -> RunOutcome<Self::Belief>
-    where
-        F: FnMut(usize, &[Self::Belief]),
-    {
-        let warm = match warm {
-            Some(w) => WarmStart::carried(w),
-            None => WarmStart::cold(),
-        };
-        self.run_warm(mrf, opts, transport, warm, obs, on_iter)
-    }
-
-    /// Runs BP with every inter-node message routed through
-    /// `transport`, reporting structured telemetry into `obs` and
-    /// invoking `on_iter(iteration, beliefs)` after every iteration.
-    ///
-    /// With [`Transport::perfect`] this is the exact fault-free code
-    /// path (bit-identical to the pre-transport engines); a faulted
-    /// transport drops/delays/weakens messages per its `FaultPlan`
-    /// while the engine keeps beliefs normalized and finite.
-    fn run_transported<F>(
-        &self,
-        mrf: &SpatialMrf,
-        opts: &BpOptions,
-        transport: &Transport,
-        obs: &dyn InferenceObserver,
-        on_iter: F,
-    ) -> RunOutcome<Self::Belief>
-    where
-        F: FnMut(usize, &[Self::Belief]),
-    {
-        self.run_carried(mrf, opts, transport, None, obs, on_iter)
-    }
-
     /// Runs BP to convergence or `opts.max_iterations`.
     fn run(&self, mrf: &SpatialMrf, opts: &BpOptions) -> (Vec<Self::Belief>, BpOutcome) {
-        let out = self.run_transported(mrf, opts, &Transport::perfect(), &NullObserver, |_, _| {});
-        (out.beliefs, out.bp)
+        self.run_with(mrf, opts, &NullObserver)
     }
 
     /// Runs BP, reporting telemetry into `obs` (run metadata, spans,
@@ -219,7 +168,14 @@ pub trait BpEngine {
         opts: &BpOptions,
         obs: &dyn InferenceObserver,
     ) -> (Vec<Self::Belief>, BpOutcome) {
-        let out = self.run_transported(mrf, opts, &Transport::perfect(), obs, |_, _| {});
+        let out = self.run_warm(
+            mrf,
+            opts,
+            &Transport::perfect(),
+            WarmStart::cold(),
+            obs,
+            |_, _| {},
+        );
         (out.beliefs, out.bp)
     }
 }

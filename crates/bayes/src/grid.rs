@@ -1328,7 +1328,7 @@ mod tests {
         );
         let mut seen = Vec::new();
         let outcome = GridBp::with_resolution(20)
-            .run_transported(
+            .run_warm(
                 &mrf,
                 &BpOptions::builder()
                     .max_iterations(4)
@@ -1336,6 +1336,7 @@ mod tests {
                     .try_build()
                     .expect("valid options"),
                 &Transport::perfect(),
+                WarmStart::cold(),
                 &NullObserver,
                 |iter, beliefs| {
                     seen.push((iter, beliefs.len()));

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use wsnloc_bayes::{
     Belief, BpEngine, BpOptions, GaussianBp, GaussianRange, GridBp, ParticleBp, Schedule,
-    ShardedEngine, SpatialMrf, Transport, UniformBoxUnary,
+    ShardedEngine, SpatialMrf, Transport, UniformBoxUnary, WarmStart,
 };
 use wsnloc_geom::rng::Xoshiro256pp;
 use wsnloc_geom::{Aabb, ShardLayout, Vec2};
@@ -145,10 +145,11 @@ fn faulted_boundary_exchange_keeps_beliefs_finite() {
     let sharded =
         ShardedEngine::new(GaussianBp::default(), Arc::clone(&layout), 1).expect("valid config");
     let transport = Transport::faulted(Arc::new(FaultPlan::iid_loss(0xFA57, 0.4)));
-    let out = sharded.run_transported(
+    let out = sharded.run_warm(
         &mrf,
         &opts,
         &transport,
+        WarmStart::cold(),
         &wsnloc_obs::NullObserver,
         |_, _| {},
     );

@@ -30,7 +30,7 @@ use crate::session::{CarriedBeliefs, LocalizationSession};
 use std::sync::Arc;
 use wsnloc_bayes::{
     Belief, BpEngine, BpOptions, GaussianBp, GridBp, ParticleBp, Schedule, ShardedEngine,
-    SpatialMrf, TemperBelief, Transport, ValidationError,
+    SpatialMrf, TemperBelief, Transport, ValidationError, WarmStart,
 };
 use wsnloc_geom::{ShardLayout, Vec2};
 use wsnloc_net::accounting::{CommStats, WireMessage};
@@ -317,8 +317,8 @@ impl BnlLocalizer {
                 let mut engine = ParticleBp::with_particles(popts.particles);
                 engine.mixture_samples = self.broadcast_particles;
                 let w = match warm {
-                    Some(CarriedBeliefs::Particle(v)) => Some(v.as_slice()),
-                    _ => None,
+                    Some(CarriedBeliefs::Particle(v)) => WarmStart::carried(v),
+                    _ => WarmStart::cold(),
                 };
                 CarriedBeliefs::Particle(self.run_maybe_sharded(
                     engine,
@@ -335,8 +335,8 @@ impl BnlLocalizer {
             }
             Backend::Gaussian => {
                 let w = match warm {
-                    Some(CarriedBeliefs::Gaussian(v)) => Some(v.as_slice()),
-                    _ => None,
+                    Some(CarriedBeliefs::Gaussian(v)) => WarmStart::carried(v),
+                    _ => WarmStart::cold(),
                 };
                 CarriedBeliefs::Gaussian(self.run_maybe_sharded(
                     GaussianBp::default(),
@@ -353,8 +353,8 @@ impl BnlLocalizer {
             }
             Backend::Grid(gopts) => {
                 let w = match warm {
-                    Some(CarriedBeliefs::Grid(v)) => Some(v.as_slice()),
-                    _ => None,
+                    Some(CarriedBeliefs::Grid(v)) => WarmStart::carried(v),
+                    _ => WarmStart::cold(),
                 };
                 let mut engine = GridBp::with_resolution(gopts.resolution);
                 if let Some(refine) = gopts.refine {
@@ -426,7 +426,7 @@ impl BnlLocalizer {
         mrf: &SpatialMrf,
         opts: &BpOptions,
         transport: &Transport,
-        warm: Option<&[E::Belief]>,
+        warm: WarmStart<'_, E::Belief>,
         obs: &dyn InferenceObserver,
         build_secs: f64,
         result: &mut LocalizationResult,
@@ -468,8 +468,8 @@ impl BnlLocalizer {
         }
     }
 
-    /// Backend-generic run-and-extract: drives [`BpEngine::run_carried`]
-    /// with the warm beliefs and the estimate-level iteration callback,
+    /// Backend-generic run-and-extract: drives [`BpEngine::run_warm`]
+    /// with the warm start and the estimate-level iteration callback,
     /// then reads point estimates and uncertainties out of the final
     /// beliefs through the [`Belief`] trait and returns those beliefs for
     /// epoch carry-over. A MAP request on a backend without a mode
@@ -482,7 +482,7 @@ impl BnlLocalizer {
         mrf: &SpatialMrf,
         opts: &BpOptions,
         transport: &Transport,
-        warm: Option<&[E::Belief]>,
+        warm: WarmStart<'_, E::Belief>,
         obs: &dyn InferenceObserver,
         build_secs: f64,
         result: &mut LocalizationResult,
@@ -493,7 +493,7 @@ impl BnlLocalizer {
         F: FnMut(usize, &[Option<Vec2>]),
     {
         let n = result.estimates.len();
-        let out = engine.run_carried(mrf, opts, transport, warm, obs, |iter, beliefs| {
+        let out = engine.run_warm(mrf, opts, transport, warm, obs, |iter, beliefs| {
             let estimates: Vec<Option<Vec2>> = (0..n)
                 .map(|id| match mrf.fixed(id) {
                     Some(p) => Some(p),

@@ -17,7 +17,6 @@ use wsnloc_net::Network;
 
 /// What is known about unknown-node positions before measurement.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PriorModel {
     /// No pre-knowledge: uniform over the field bounding box. This ablation
     /// turns BNL-PK into plain cooperative NBP.

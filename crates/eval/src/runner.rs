@@ -199,7 +199,6 @@ impl TraceAggregate {
 
 /// Aggregated evaluation of one algorithm on one scenario.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EvalOutcome {
     /// Algorithm display name.
     pub algo: String,
@@ -227,11 +226,9 @@ pub struct EvalOutcome {
     pub converged_frac: f64,
     /// Convergence telemetry aggregated across trials; `Some` only when the
     /// evaluation ran with [`EvalConfig::collect_traces`].
-    #[cfg_attr(feature = "serde", serde(skip))]
     pub trace: Option<TraceAggregate>,
     /// Per-trial metric snapshots and their merge; `Some` only when the
     /// evaluation ran with [`EvalConfig::collect_metrics`].
-    #[cfg_attr(feature = "serde", serde(skip))]
     pub metrics: Option<MetricsAggregate>,
 }
 

@@ -25,7 +25,6 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// assert!((b[0] - 1.0).abs() < 1e-12 && (b[1] - 2.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -105,7 +105,6 @@ pub fn empirical_cdf(xs: &[f64], max: f64, points: usize) -> Vec<(f64, f64)> {
 /// One-pass (Welford) accumulator for mean and variance; usable online and
 /// mergeable across parallel shards.
 #[derive(Debug, Clone, Copy, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Welford {
     count: u64,
     mean: f64,
@@ -162,7 +161,6 @@ impl Welford {
 /// Fixed-bin histogram over `[lo, hi)` with out-of-range clamping; used for
 /// belief visualization and distribution sanity checks.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     lo: f64,
     hi: f64,

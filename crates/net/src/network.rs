@@ -25,7 +25,6 @@ pub type NodeId = usize;
 
 /// Whether a node knows its own position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeKind {
     /// Position known a priori (GPS/manual placement).
     Anchor,
@@ -35,7 +34,6 @@ pub enum NodeKind {
 
 /// The observable simulation state: what localization algorithms receive.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Network {
     field: Shape,
     radio: RadioModel,
@@ -53,7 +51,6 @@ pub struct Network {
 
 /// The hidden true positions, for evaluation only.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GroundTruth {
     positions: Vec<Vec2>,
 }
@@ -246,7 +243,6 @@ impl Network {
 
 /// Configures and generates a network + ground truth pair.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetworkBuilder {
     /// Node placement model.
     pub deployment: Deployment,

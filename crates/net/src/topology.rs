@@ -8,7 +8,6 @@ use std::collections::VecDeque;
 
 /// Undirected adjacency structure over node indices `0..n`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Topology {
     adj: Vec<Vec<usize>>,
 }

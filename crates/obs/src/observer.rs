@@ -1,10 +1,10 @@
 //! The observer contract: what BP engines report, and the no-op default.
 
+use crate::replay::{JsonField, JsonValue};
 use wsnloc_net::accounting::CommStats;
 
 /// Metadata reported once at the start of every inference run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunInfo {
     /// Belief representation: `"particle"`, `"grid"`, or `"gaussian"`.
     pub backend: &'static str,
@@ -31,7 +31,6 @@ pub struct RunInfo {
 
 /// One node's belief change across an iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeResidual {
     /// Variable id.
     pub node: usize,
@@ -45,7 +44,6 @@ pub struct NodeResidual {
 
 /// Everything one BP iteration reports.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IterationRecord {
     /// 0-based iteration index.
     pub iteration: usize,
@@ -87,7 +85,6 @@ impl IterationRecord {
 
 /// The phases a localization run is timed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SpanKind {
     /// Network → factor-graph translation (priors, measurement factors,
     /// negative constraints).
@@ -101,6 +98,14 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
+    /// Every span kind, in run order.
+    pub const ALL: [SpanKind; 4] = [
+        SpanKind::ModelBuild,
+        SpanKind::PriorInit,
+        SpanKind::MessagePassing,
+        SpanKind::EstimateExtract,
+    ];
+
     /// Stable snake_case label used in trace output.
     pub fn label(self) -> &'static str {
         match self {
@@ -112,14 +117,67 @@ impl SpanKind {
     }
 }
 
-/// Structured events outside the per-iteration cadence.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum ObsEvent {
+/// Declares [`ObsEvent`] from one table: each entry names a variant,
+/// its JSONL `"event"` name and its typed fields. The macro generates the
+/// enum, [`ObsEvent::name`], [`ObsEvent::NAMES`] and the field encoder and
+/// decoder the JSONL sink and replay use, so a new variant is declared
+/// here and nowhere else. Field names double as JSON keys, written in
+/// declaration order.
+macro_rules! obs_events {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $name:literal {
+            $( $(#[$fmeta:meta])* $field:ident : $ty:ty ),* $(,)?
+        }
+    ),* $(,)?) => {
+        /// Structured events outside the per-iteration cadence.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum ObsEvent {
+            $( $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty ),* } ),*
+        }
+
+        impl ObsEvent {
+            /// The JSONL `"event"` name of every variant, in declaration
+            /// order.
+            pub const NAMES: &'static [&'static str] = &[$($name),*];
+
+            /// This event's JSONL `"event"` name.
+            #[must_use]
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( ObsEvent::$variant { .. } => $name ),*
+                }
+            }
+
+            /// Appends this event's fields as `,"key":value` pairs.
+            pub(crate) fn encode_fields(&self, out: &mut String) {
+                match self {
+                    $( ObsEvent::$variant { $($field),* } => {
+                        $( $field.encode(stringify!($field), out); )*
+                    } ),*
+                }
+            }
+
+            /// Reads the event called `name` from the fields of `v`;
+            /// `Ok(None)` for a name this build does not know, so traces
+            /// written by other versions still replay.
+            pub(crate) fn decode(name: &str, v: &JsonValue) -> Result<Option<ObsEvent>, String> {
+                Ok(Some(match name {
+                    $( $name => ObsEvent::$variant {
+                        $( $field: JsonField::decode(v, stringify!($field))? ),*
+                    }, )*
+                    _ => return Ok(None),
+                }))
+            }
+        }
+    };
+}
+
+obs_events! {
     /// A MAP point estimate was requested from a backend that cannot
     /// produce one; the run fell back to the MMSE (posterior-mean)
     /// estimator. Previously this switch was silent.
-    MapFallbackToMmse {
+    MapFallbackToMmse = "map_fallback_to_mmse" {
         /// The backend that lacks a mode extractor.
         backend: &'static str,
     },
@@ -127,7 +185,7 @@ pub enum ObsEvent {
     /// (or anchor-evaluated) likelihood summed to zero or a non-finite
     /// total, so the engine substituted a flat message to keep inference
     /// alive. Previously this degradation was silent.
-    GridUniformFallback {
+    GridUniformFallback = "grid_uniform_fallback" {
         /// Edge id (index into the MRF's edge list) whose message
         /// collapsed.
         edge: usize,
@@ -138,7 +196,7 @@ pub enum ObsEvent {
     /// A dedicated evaluation thread pool could not be built; the trials
     /// fell back to the ambient rayon pool. Previously this fallback was
     /// silent.
-    ThreadPoolFallback {
+    ThreadPoolFallback = "thread_pool_fallback" {
         /// Thread count that was requested.
         requested: usize,
         /// The pool-build error, stringified.
@@ -146,7 +204,7 @@ pub enum ObsEvent {
     },
     /// One or more BP messages were lost to the fault transport this
     /// iteration (aggregated per iteration to keep trace volume sane).
-    MessageDropped {
+    MessageDropped = "message_dropped" {
         /// BP iteration (0-based) in which the drops occurred.
         iteration: usize,
         /// Number of directed-link messages lost this iteration.
@@ -154,7 +212,7 @@ pub enum ObsEvent {
     },
     /// A node died under the active fault plan: it stops transmitting
     /// from this iteration on, but its neighbors keep localizing.
-    NodeDied {
+    NodeDied = "node_died" {
         /// BP iteration (0-based) at which the node fell silent.
         iteration: usize,
         /// The node that died.
@@ -162,7 +220,7 @@ pub enum ObsEvent {
     },
     /// One or more links delivered a stale (delayed, previously seen)
     /// message this iteration instead of fresh content.
-    StaleMessageUsed {
+    StaleMessageUsed = "stale_message_used" {
         /// BP iteration (0-based) in which the stale deliveries occurred.
         iteration: usize,
         /// Number of directed links that delivered stale content.
@@ -170,7 +228,7 @@ pub enum ObsEvent {
     },
     /// A streaming tenant's session advanced one measurement epoch
     /// (ran BP warm-started from the carried beliefs).
-    EpochAdvanced {
+    EpochAdvanced = "epoch_advanced" {
         /// Tenant (session) id within the streaming engine.
         tenant: u64,
         /// 0-based epoch index within that tenant's stream.
@@ -179,7 +237,7 @@ pub enum ObsEvent {
     /// A streaming tenant was shed under overload this tick: its session
     /// coasted on the motion model (beliefs decay toward the prior)
     /// instead of running BP.
-    TenantShed {
+    TenantShed = "tenant_shed" {
         /// Tenant (session) id within the streaming engine.
         tenant: u64,
         /// 0-based epoch index the tenant coasted through.
@@ -191,7 +249,7 @@ pub enum ObsEvent {
     /// engine during) the run the context applies to; consumers that
     /// key state by tenant — sampling policies, windowed metrics —
     /// treat it as "subsequent records belong to this tenant/epoch".
-    Context {
+    Context = "context" {
         /// Streaming tenant (session) id, when run under an engine.
         tenant: Option<u64>,
         /// 0-based epoch index within the tenant's stream.
@@ -204,7 +262,7 @@ pub enum ObsEvent {
     /// One shard refreshed its halo mirrors at a sharded outer-round
     /// boundary exchange — the per-shard boundary-traffic signal the
     /// windowed metrics tier aggregates.
-    BoundaryExchange {
+    BoundaryExchange = "boundary_exchange" {
         /// Outer round (0-based) the exchange followed.
         round: usize,
         /// Shard whose mirrors were refreshed.
@@ -213,7 +271,7 @@ pub enum ObsEvent {
         messages: u64,
     },
     /// Free-form annotation.
-    Note {
+    Note = "note" {
         /// The annotation text.
         message: String,
     },
@@ -221,7 +279,6 @@ pub enum ObsEvent {
 
 /// Final verdict of an inference run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunSummary {
     /// Iterations actually executed.
     pub iterations: usize,
@@ -321,8 +378,67 @@ impl InferenceObserver for FanoutObserver<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One instance of every [`ObsEvent`] variant, in table order — the
+    /// fixture the JSONL encoder, decoder and golden-line tests share.
+    /// Values exercise escaping, `null` options and the full `u64` range.
+    pub(crate) fn every_event() -> Vec<ObsEvent> {
+        vec![
+            ObsEvent::MapFallbackToMmse {
+                backend: "particle",
+            },
+            ObsEvent::GridUniformFallback {
+                edge: 7,
+                stage: "kernel",
+            },
+            ObsEvent::ThreadPoolFallback {
+                requested: 3,
+                error: "no threads".to_owned(),
+            },
+            ObsEvent::MessageDropped {
+                iteration: 0,
+                count: 3,
+            },
+            ObsEvent::NodeDied {
+                iteration: 2,
+                node: 5,
+            },
+            ObsEvent::StaleMessageUsed {
+                iteration: 1,
+                count: 4,
+            },
+            ObsEvent::EpochAdvanced {
+                tenant: 9,
+                epoch: 12,
+            },
+            ObsEvent::TenantShed {
+                tenant: 9,
+                epoch: 13,
+            },
+            ObsEvent::Context {
+                tenant: Some(9),
+                epoch: None,
+                shard: Some(u64::MAX),
+                round: None,
+            },
+            ObsEvent::BoundaryExchange {
+                round: 1,
+                shard: 6,
+                messages: 48,
+            },
+            ObsEvent::Note {
+                message: "say \"hi\"\n".to_owned(),
+            },
+        ]
+    }
+
+    #[test]
+    fn fixture_covers_exactly_the_event_table() {
+        let names: Vec<&str> = every_event().iter().map(ObsEvent::name).collect();
+        assert_eq!(names, ObsEvent::NAMES);
+    }
 
     fn record(residuals: Vec<NodeResidual>) -> IterationRecord {
         IterationRecord {
@@ -366,10 +482,15 @@ mod tests {
 
     #[test]
     fn span_labels_are_stable() {
-        assert_eq!(SpanKind::ModelBuild.label(), "model_build");
-        assert_eq!(SpanKind::PriorInit.label(), "prior_init");
-        assert_eq!(SpanKind::MessagePassing.label(), "message_passing");
-        assert_eq!(SpanKind::EstimateExtract.label(), "estimate_extract");
+        assert_eq!(
+            SpanKind::ALL.map(SpanKind::label),
+            [
+                "model_build",
+                "prior_init",
+                "message_passing",
+                "estimate_extract"
+            ]
+        );
     }
 
     #[test]

@@ -21,8 +21,9 @@ use crate::observer::{
     RunSummary, SpanKind,
 };
 use crate::profiler::SpanProfiler;
+use crate::sink::{push_json_f64, push_json_str};
 use crate::trace::RunTrace;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use wsnloc_net::accounting::CommStats;
 
 /// A parse failure, located by 1-based line number.
@@ -356,80 +357,136 @@ pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     Ok(v)
 }
 
-/// Interning tables: trace strings back to the `&'static str`s the
-/// observer structs carry. Unknown names map to `"unknown"` rather than
-/// failing, so newer traces still replay.
-fn intern_backend(s: &str) -> &'static str {
-    match s {
-        "particle" => "particle",
-        "grid" => "grid",
-        "gaussian" => "gaussian",
-        _ => "unknown",
+/// A typed trace field: how one value is written as `,"key":value` and
+/// read back from a parsed record. The [`ObsEvent`] table and the record
+/// encoders and parsers share these impls, so each field type has one
+/// JSON form.
+pub(crate) trait JsonField: Sized {
+    /// Appends `,"key":value` to `out`.
+    fn encode(&self, key: &str, out: &mut String);
+
+    /// Reads field `key` of the record `v`.
+    fn decode(v: &JsonValue, key: &str) -> Result<Self, String>;
+}
+
+fn required<'v, T>(
+    v: &'v JsonValue,
+    key: &str,
+    kind: &str,
+    read: impl FnOnce(&'v JsonValue) -> Option<T>,
+) -> Result<T, String> {
+    v.get(key)
+        .and_then(read)
+        .ok_or_else(|| format!("missing or non-{kind} field '{key}'"))
+}
+
+fn push_key(out: &mut String, key: &str) {
+    let _ = write!(out, ",\"{key}\":");
+}
+
+impl JsonField for u64 {
+    fn encode(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":{self}");
+    }
+
+    fn decode(v: &JsonValue, key: &str) -> Result<Self, String> {
+        required(v, key, "integer", JsonValue::as_u64)
     }
 }
 
-fn intern_schedule(s: &str) -> &'static str {
-    match s {
-        "synchronous" => "synchronous",
-        "sweep" => "sweep",
-        _ => "unknown",
+impl JsonField for usize {
+    fn encode(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":{self}");
+    }
+
+    fn decode(v: &JsonValue, key: &str) -> Result<Self, String> {
+        required(v, key, "integer", JsonValue::as_usize)
     }
 }
 
-fn intern_stage(s: &str) -> &'static str {
-    match s {
-        "kernel" => "kernel",
-        "point" => "point",
-        _ => "unknown",
+impl JsonField for f64 {
+    fn encode(&self, key: &str, out: &mut String) {
+        push_key(out, key);
+        push_json_f64(out, *self);
     }
+
+    fn decode(v: &JsonValue, key: &str) -> Result<Self, String> {
+        required(v, key, "numeric", JsonValue::as_f64)
+    }
+}
+
+/// Unset is `null`; a missing or non-integer value reads as unset.
+impl JsonField for Option<u64> {
+    fn encode(&self, key: &str, out: &mut String) {
+        match self {
+            Some(v) => v.encode(key, out),
+            None => {
+                push_key(out, key);
+                out.push_str("null");
+            }
+        }
+    }
+
+    fn decode(v: &JsonValue, key: &str) -> Result<Self, String> {
+        Ok(v.get(key).and_then(JsonValue::as_u64))
+    }
+}
+
+impl JsonField for String {
+    fn encode(&self, key: &str, out: &mut String) {
+        push_key(out, key);
+        push_json_str(out, self);
+    }
+
+    fn decode(v: &JsonValue, key: &str) -> Result<Self, String> {
+        required(v, key, "string", |s| s.as_str().map(str::to_owned))
+    }
+}
+
+/// Reads back through [`intern`].
+impl JsonField for &'static str {
+    fn encode(&self, key: &str, out: &mut String) {
+        push_key(out, key);
+        push_json_str(out, self);
+    }
+
+    fn decode(v: &JsonValue, key: &str) -> Result<Self, String> {
+        required(v, key, "string", |s| s.as_str().map(intern))
+    }
+}
+
+/// Trace strings back to the `&'static str`s the observer structs carry
+/// (backend, schedule and grid-fallback stage names). Unknown names map
+/// to `"unknown"` rather than failing, so newer traces still replay.
+fn intern(s: &str) -> &'static str {
+    const KNOWN: [&str; 7] = [
+        "particle",
+        "grid",
+        "gaussian",
+        "synchronous",
+        "sweep",
+        "kernel",
+        "point",
+    ];
+    KNOWN.into_iter().find(|k| *k == s).unwrap_or("unknown")
 }
 
 fn span_kind(label: &str) -> Option<SpanKind> {
-    match label {
-        "model_build" => Some(SpanKind::ModelBuild),
-        "prior_init" => Some(SpanKind::PriorInit),
-        "message_passing" => Some(SpanKind::MessagePassing),
-        "estimate_extract" => Some(SpanKind::EstimateExtract),
-        _ => None,
-    }
-}
-
-fn field_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-fn field_usize(v: &JsonValue, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(JsonValue::as_usize)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-fn field_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
-}
-
-fn field_str<'v>(v: &'v JsonValue, key: &str) -> Result<&'v str, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
+    SpanKind::ALL.into_iter().find(|k| k.label() == label)
 }
 
 fn parse_run_start(v: &JsonValue) -> Result<RunInfo, String> {
     Ok(RunInfo {
-        backend: intern_backend(field_str(v, "backend")?),
-        nodes: field_usize(v, "nodes")?,
-        free: field_usize(v, "free")?,
-        edges: field_usize(v, "edges")?,
-        max_iterations: field_usize(v, "max_iterations")?,
-        tolerance: field_f64(v, "tolerance")?,
-        damping: field_f64(v, "damping")?,
-        schedule: intern_schedule(field_str(v, "schedule")?),
-        message_bytes: field_u64(v, "message_bytes")?,
-        seed: field_u64(v, "seed")?,
+        backend: JsonField::decode(v, "backend")?,
+        nodes: JsonField::decode(v, "nodes")?,
+        free: JsonField::decode(v, "free")?,
+        edges: JsonField::decode(v, "edges")?,
+        max_iterations: JsonField::decode(v, "max_iterations")?,
+        tolerance: JsonField::decode(v, "tolerance")?,
+        damping: JsonField::decode(v, "damping")?,
+        schedule: JsonField::decode(v, "schedule")?,
+        message_bytes: JsonField::decode(v, "message_bytes")?,
+        seed: JsonField::decode(v, "seed")?,
     })
 }
 
@@ -443,8 +500,8 @@ fn parse_iteration(v: &JsonValue) -> Result<IterationRecord, String> {
                     Some(other) => other.as_f64(),
                 };
                 out.push(NodeResidual {
-                    node: field_usize(item, "node")?,
-                    residual: field_f64(item, "residual")?,
+                    node: JsonField::decode(item, "node")?,
+                    residual: JsonField::decode(item, "residual")?,
                     kl,
                 });
             }
@@ -453,72 +510,32 @@ fn parse_iteration(v: &JsonValue) -> Result<IterationRecord, String> {
         None => Vec::new(),
     };
     Ok(IterationRecord {
-        iteration: field_usize(v, "iter")?,
-        max_shift: field_f64(v, "max_shift")?,
-        comm: CommStats {
-            messages: field_u64(v, "messages")?,
-            bytes: field_u64(v, "bytes")?,
-        },
-        damping: field_f64(v, "damping")?,
-        schedule: intern_schedule(field_str(v, "schedule")?),
-        secs: field_f64(v, "secs")?,
+        iteration: JsonField::decode(v, "iter")?,
+        max_shift: JsonField::decode(v, "max_shift")?,
+        comm: parse_comm(v)?,
+        damping: JsonField::decode(v, "damping")?,
+        schedule: JsonField::decode(v, "schedule")?,
+        secs: JsonField::decode(v, "secs")?,
         residuals,
     })
 }
 
-fn parse_event(v: &JsonValue) -> Result<Option<ObsEvent>, String> {
-    let event = match field_str(v, "event")? {
-        "map_fallback_to_mmse" => Some(ObsEvent::MapFallbackToMmse {
-            backend: intern_backend(field_str(v, "backend")?),
-        }),
-        "grid_uniform_fallback" => Some(ObsEvent::GridUniformFallback {
-            edge: field_usize(v, "edge")?,
-            stage: intern_stage(field_str(v, "stage")?),
-        }),
-        "thread_pool_fallback" => Some(ObsEvent::ThreadPoolFallback {
-            requested: field_usize(v, "requested")?,
-            error: field_str(v, "error")?.to_owned(),
-        }),
-        "message_dropped" => Some(ObsEvent::MessageDropped {
-            iteration: field_usize(v, "iteration")?,
-            count: field_u64(v, "count")?,
-        }),
-        "node_died" => Some(ObsEvent::NodeDied {
-            iteration: field_usize(v, "iteration")?,
-            node: field_usize(v, "node")?,
-        }),
-        "stale_message_used" => Some(ObsEvent::StaleMessageUsed {
-            iteration: field_usize(v, "iteration")?,
-            count: field_u64(v, "count")?,
-        }),
-        "epoch_advanced" => Some(ObsEvent::EpochAdvanced {
-            tenant: field_u64(v, "tenant")?,
-            epoch: field_u64(v, "epoch")?,
-        }),
-        "tenant_shed" => Some(ObsEvent::TenantShed {
-            tenant: field_u64(v, "tenant")?,
-            epoch: field_u64(v, "epoch")?,
-        }),
-        "context" => {
-            let opt = |key: &str| v.get(key).and_then(JsonValue::as_u64);
-            Some(ObsEvent::Context {
-                tenant: opt("tenant"),
-                epoch: opt("epoch"),
-                shard: opt("shard"),
-                round: opt("round"),
-            })
-        }
-        "boundary_exchange" => Some(ObsEvent::BoundaryExchange {
-            round: field_usize(v, "round")?,
-            shard: field_usize(v, "shard")?,
-            messages: field_u64(v, "messages")?,
-        }),
-        "note" => Some(ObsEvent::Note {
-            message: field_str(v, "message")?.to_owned(),
-        }),
-        _ => None, // forward compatibility: unknown events are skipped
-    };
-    Ok(event)
+fn parse_comm(v: &JsonValue) -> Result<CommStats, String> {
+    Ok(CommStats {
+        messages: JsonField::decode(v, "messages")?,
+        bytes: JsonField::decode(v, "bytes")?,
+    })
+}
+
+fn parse_run_end(v: &JsonValue) -> Result<RunSummary, String> {
+    Ok(RunSummary {
+        iterations: JsonField::decode(v, "iterations")?,
+        converged: v
+            .get("converged")
+            .and_then(JsonValue::as_bool)
+            .ok_or_else(|| "missing field 'converged'".to_owned())?,
+        comm: parse_comm(v)?,
+    })
 }
 
 /// Parses a JSONL trace (the [`write_jsonl`](crate::write_jsonl)
@@ -534,7 +551,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<RunTrace>, ReplayError> {
         }
         let at = |msg: String| ReplayError { line: lineno, msg };
         let v = parse_json(line).map_err(at)?;
-        let kind = field_str(&v, "type").map_err(at)?.to_owned();
+        let kind: String = JsonField::decode(&v, "type").map_err(at)?;
         if kind == "run_start" {
             runs.push(RunTrace {
                 info: parse_run_start(&v).map_err(at)?,
@@ -551,30 +568,20 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<RunTrace>, ReplayError> {
         match kind.as_str() {
             "iteration" => run.iterations.push(parse_iteration(&v).map_err(at)?),
             "span" => {
-                let label = field_str(&v, "span").map_err(at)?;
-                if let Some(kind) = span_kind(label) {
-                    run.spans.push((kind, field_f64(&v, "secs").map_err(at)?));
+                let label: String = JsonField::decode(&v, "span").map_err(at)?;
+                if let Some(kind) = span_kind(&label) {
+                    run.spans
+                        .push((kind, JsonField::decode(&v, "secs").map_err(at)?));
                 }
                 // Unknown span labels are skipped (forward compat).
             }
             "event" => {
-                if let Some(event) = parse_event(&v).map_err(at)? {
+                let name: String = JsonField::decode(&v, "event").map_err(at)?;
+                if let Some(event) = ObsEvent::decode(&name, &v).map_err(at)? {
                     run.events.push(event);
                 }
             }
-            "run_end" => {
-                run.summary = Some(RunSummary {
-                    iterations: field_usize(&v, "iterations").map_err(at)?,
-                    converged: v
-                        .get("converged")
-                        .and_then(JsonValue::as_bool)
-                        .ok_or_else(|| at("missing field 'converged'".to_owned()))?,
-                    comm: CommStats {
-                        messages: field_u64(&v, "messages").map_err(at)?,
-                        bytes: field_u64(&v, "bytes").map_err(at)?,
-                    },
-                });
-            }
+            "run_end" => run.summary = Some(parse_run_end(&v).map_err(at)?),
             _ => {} // unknown record types are skipped
         }
     }
@@ -704,54 +711,7 @@ mod tests {
     #[test]
     fn jsonl_round_trips_bit_exactly() {
         let mut runs = sample_trace();
-        // One instance of every event variant.
-        runs[0].events = vec![
-            ObsEvent::MapFallbackToMmse {
-                backend: "particle",
-            },
-            ObsEvent::GridUniformFallback {
-                edge: 7,
-                stage: "kernel",
-            },
-            ObsEvent::ThreadPoolFallback {
-                requested: 3,
-                error: "no threads".to_owned(),
-            },
-            ObsEvent::MessageDropped {
-                iteration: 0,
-                count: 3,
-            },
-            ObsEvent::NodeDied {
-                iteration: 2,
-                node: 5,
-            },
-            ObsEvent::StaleMessageUsed {
-                iteration: 1,
-                count: 4,
-            },
-            ObsEvent::EpochAdvanced {
-                tenant: 9,
-                epoch: 12,
-            },
-            ObsEvent::TenantShed {
-                tenant: 9,
-                epoch: 13,
-            },
-            ObsEvent::Context {
-                tenant: Some(9),
-                epoch: None,
-                shard: Some(u64::MAX),
-                round: None,
-            },
-            ObsEvent::BoundaryExchange {
-                round: 1,
-                shard: 6,
-                messages: 48,
-            },
-            ObsEvent::Note {
-                message: "say \"hi\"\n".to_owned(),
-            },
-        ];
+        runs[0].events = crate::observer::tests::every_event();
         let mut sink = VecSink::new();
         write_jsonl(&runs, &mut sink).expect("in-memory serialize");
         let text = sink.lines.join("\n");

@@ -1,7 +1,10 @@
 //! Trace serialization: recorded runs → JSON Lines.
 //!
-//! The encoder is hand-rolled (the build environment has no serde
-//! registry access); it emits one self-describing JSON object per line.
+//! The encoder is hand-rolled (the workspace has no registry
+//! dependencies); it emits one self-describing JSON object per line.
+//! Event lines are generated from the `obs_events!` table that declares
+//! [`ObsEvent`]; `schema_docs_list_every_event` keeps the block below and
+//! the README in step with [`ObsEvent::NAMES`].
 //! Schema (stable, documented in the README "Observability" section):
 //!
 //! ```text
@@ -31,7 +34,8 @@
 //! Records of one run appear contiguously, `run_start` first, `run_end`
 //! last, so a reader can replay runs by splitting on `run_start`.
 
-use crate::observer::ObsEvent;
+use crate::observer::{IterationRecord, ObsEvent, RunInfo};
+use crate::replay::JsonField;
 use crate::trace::RunTrace;
 use std::fmt::Write as _;
 use std::fs::File;
@@ -154,7 +158,7 @@ pub(crate) fn push_json_str(buf: &mut String, s: &str) {
 }
 
 /// Appends a JSON number to `buf`; non-finite values become `null`.
-fn push_json_f64(buf: &mut String, v: f64) {
+pub(crate) fn push_json_f64(buf: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(buf, "{v}");
     } else {
@@ -170,102 +174,54 @@ fn push_json_opt_f64(buf: &mut String, v: Option<f64>) {
     }
 }
 
-fn run_start_line(run: &RunTrace) -> String {
-    let i = &run.info;
-    let mut s = String::from("{\"type\":\"run_start\",\"backend\":");
-    push_json_str(&mut s, i.backend);
-    let _ = write!(
-        s,
-        ",\"nodes\":{},\"free\":{},\"edges\":{},\"max_iterations\":{}",
-        i.nodes, i.free, i.edges, i.max_iterations
-    );
-    s.push_str(",\"tolerance\":");
-    push_json_f64(&mut s, i.tolerance);
-    s.push_str(",\"damping\":");
-    push_json_f64(&mut s, i.damping);
-    s.push_str(",\"schedule\":");
-    push_json_str(&mut s, i.schedule);
-    let _ = write!(
-        s,
-        ",\"message_bytes\":{},\"seed\":{}}}",
-        i.message_bytes, i.seed
-    );
+fn run_start_line(i: &RunInfo) -> String {
+    let mut s = String::from("{\"type\":\"run_start\"");
+    i.backend.encode("backend", &mut s);
+    i.nodes.encode("nodes", &mut s);
+    i.free.encode("free", &mut s);
+    i.edges.encode("edges", &mut s);
+    i.max_iterations.encode("max_iterations", &mut s);
+    i.tolerance.encode("tolerance", &mut s);
+    i.damping.encode("damping", &mut s);
+    i.schedule.encode("schedule", &mut s);
+    i.message_bytes.encode("message_bytes", &mut s);
+    i.seed.encode("seed", &mut s);
+    s.push('}');
+    s
+}
+
+fn iteration_line(rec: &IterationRecord) -> String {
+    let mut s = String::from("{\"type\":\"iteration\"");
+    rec.iteration.encode("iter", &mut s);
+    rec.max_shift.encode("max_shift", &mut s);
+    rec.comm.messages.encode("messages", &mut s);
+    rec.comm.bytes.encode("bytes", &mut s);
+    rec.damping.encode("damping", &mut s);
+    rec.schedule.encode("schedule", &mut s);
+    rec.secs.encode("secs", &mut s);
+    s.push_str(",\"max_residual\":");
+    push_json_opt_f64(&mut s, rec.max_residual());
+    s.push_str(",\"mean_residual\":");
+    push_json_opt_f64(&mut s, rec.mean_residual());
+    s.push_str(",\"residuals\":[");
+    for (k, r) in rec.residuals.iter().enumerate() {
+        if k > 0 {
+            s.push(',');
+        }
+        let _ = write!(s, "{{\"node\":{},\"residual\":", r.node);
+        push_json_f64(&mut s, r.residual);
+        s.push_str(",\"kl\":");
+        push_json_opt_f64(&mut s, r.kl);
+        s.push('}');
+    }
+    s.push_str("]}");
     s
 }
 
 fn event_line(event: &ObsEvent) -> String {
-    let mut s = String::from("{\"type\":\"event\",\"event\":");
-    match event {
-        ObsEvent::MapFallbackToMmse { backend } => {
-            push_json_str(&mut s, "map_fallback_to_mmse");
-            s.push_str(",\"backend\":");
-            push_json_str(&mut s, backend);
-        }
-        ObsEvent::GridUniformFallback { edge, stage } => {
-            push_json_str(&mut s, "grid_uniform_fallback");
-            let _ = write!(s, ",\"edge\":{edge},\"stage\":");
-            push_json_str(&mut s, stage);
-        }
-        ObsEvent::ThreadPoolFallback { requested, error } => {
-            push_json_str(&mut s, "thread_pool_fallback");
-            let _ = write!(s, ",\"requested\":{requested},\"error\":");
-            push_json_str(&mut s, error);
-        }
-        ObsEvent::MessageDropped { iteration, count } => {
-            push_json_str(&mut s, "message_dropped");
-            let _ = write!(s, ",\"iteration\":{iteration},\"count\":{count}");
-        }
-        ObsEvent::NodeDied { iteration, node } => {
-            push_json_str(&mut s, "node_died");
-            let _ = write!(s, ",\"iteration\":{iteration},\"node\":{node}");
-        }
-        ObsEvent::StaleMessageUsed { iteration, count } => {
-            push_json_str(&mut s, "stale_message_used");
-            let _ = write!(s, ",\"iteration\":{iteration},\"count\":{count}");
-        }
-        ObsEvent::EpochAdvanced { tenant, epoch } => {
-            push_json_str(&mut s, "epoch_advanced");
-            let _ = write!(s, ",\"tenant\":{tenant},\"epoch\":{epoch}");
-        }
-        ObsEvent::TenantShed { tenant, epoch } => {
-            push_json_str(&mut s, "tenant_shed");
-            let _ = write!(s, ",\"tenant\":{tenant},\"epoch\":{epoch}");
-        }
-        ObsEvent::Context {
-            tenant,
-            epoch,
-            shard,
-            round,
-        } => {
-            push_json_str(&mut s, "context");
-            let opt = |s: &mut String, key: &str, v: &Option<u64>| {
-                let _ = match v {
-                    Some(v) => write!(s, ",\"{key}\":{v}"),
-                    None => write!(s, ",\"{key}\":null"),
-                };
-            };
-            opt(&mut s, "tenant", tenant);
-            opt(&mut s, "epoch", epoch);
-            opt(&mut s, "shard", shard);
-            opt(&mut s, "round", round);
-        }
-        ObsEvent::BoundaryExchange {
-            round,
-            shard,
-            messages,
-        } => {
-            push_json_str(&mut s, "boundary_exchange");
-            let _ = write!(
-                s,
-                ",\"round\":{round},\"shard\":{shard},\"messages\":{messages}"
-            );
-        }
-        ObsEvent::Note { message } => {
-            push_json_str(&mut s, "note");
-            s.push_str(",\"message\":");
-            push_json_str(&mut s, message);
-        }
-    }
+    let mut s = String::from("{\"type\":\"event\"");
+    event.name().encode("event", &mut s);
+    event.encode_fields(&mut s);
     s.push('}');
     s
 }
@@ -275,47 +231,16 @@ fn event_line(event: &ObsEvent) -> String {
 pub fn write_jsonl(runs: &[RunTrace], sink: &mut dyn TraceSink) -> io::Result<usize> {
     let mut lines = 0usize;
     for run in runs {
-        sink.write_line(&run_start_line(run))?;
+        sink.write_line(&run_start_line(&run.info))?;
         lines += 1;
         for rec in &run.iterations {
-            let mut s = String::from("{\"type\":\"iteration\"");
-            let _ = write!(s, ",\"iter\":{},\"max_shift\":", rec.iteration);
-            push_json_f64(&mut s, rec.max_shift);
-            let _ = write!(
-                s,
-                ",\"messages\":{},\"bytes\":{}",
-                rec.comm.messages, rec.comm.bytes
-            );
-            s.push_str(",\"damping\":");
-            push_json_f64(&mut s, rec.damping);
-            s.push_str(",\"schedule\":");
-            push_json_str(&mut s, rec.schedule);
-            s.push_str(",\"secs\":");
-            push_json_f64(&mut s, rec.secs);
-            s.push_str(",\"max_residual\":");
-            push_json_opt_f64(&mut s, rec.max_residual());
-            s.push_str(",\"mean_residual\":");
-            push_json_opt_f64(&mut s, rec.mean_residual());
-            s.push_str(",\"residuals\":[");
-            for (k, r) in rec.residuals.iter().enumerate() {
-                if k > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{{\"node\":{},\"residual\":", r.node);
-                push_json_f64(&mut s, r.residual);
-                s.push_str(",\"kl\":");
-                push_json_opt_f64(&mut s, r.kl);
-                s.push('}');
-            }
-            s.push_str("]}");
-            sink.write_line(&s)?;
+            sink.write_line(&iteration_line(rec))?;
             lines += 1;
         }
         for &(span, secs) in &run.spans {
-            let mut s = String::from("{\"type\":\"span\",\"span\":");
-            push_json_str(&mut s, span.label());
-            s.push_str(",\"secs\":");
-            push_json_f64(&mut s, secs);
+            let mut s = String::from("{\"type\":\"span\"");
+            span.label().encode("span", &mut s);
+            secs.encode("secs", &mut s);
             s.push('}');
             sink.write_line(&s)?;
             lines += 1;
@@ -342,7 +267,8 @@ pub fn write_jsonl(runs: &[RunTrace], sink: &mut dyn TraceSink) -> io::Result<us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::{IterationRecord, NodeResidual, RunInfo, RunSummary, SpanKind};
+    use crate::observer::tests::every_event;
+    use crate::observer::{NodeResidual, RunSummary, SpanKind};
     use wsnloc_net::accounting::CommStats;
 
     fn sample_run() -> RunTrace {
@@ -435,73 +361,34 @@ mod tests {
                 && l.contains("\"error\":\"no threads\"")));
     }
 
-    /// One instance of every [`ObsEvent`] variant. The match is
-    /// exhaustive on purpose: a new variant fails to compile here until
-    /// it is added to the list.
-    fn every_event() -> Vec<ObsEvent> {
-        let events = vec![
-            ObsEvent::MapFallbackToMmse {
-                backend: "particle",
-            },
-            ObsEvent::GridUniformFallback {
-                edge: 7,
-                stage: "kernel",
-            },
-            ObsEvent::ThreadPoolFallback {
-                requested: 3,
-                error: "no threads".to_owned(),
-            },
-            ObsEvent::MessageDropped {
-                iteration: 0,
-                count: 3,
-            },
-            ObsEvent::NodeDied {
-                iteration: 2,
-                node: 5,
-            },
-            ObsEvent::StaleMessageUsed {
-                iteration: 1,
-                count: 4,
-            },
-            ObsEvent::EpochAdvanced {
-                tenant: 9,
-                epoch: 12,
-            },
-            ObsEvent::TenantShed {
-                tenant: 9,
-                epoch: 13,
-            },
-            ObsEvent::Context {
-                tenant: Some(9),
-                epoch: None,
-                shard: Some(2),
-                round: None,
-            },
-            ObsEvent::BoundaryExchange {
-                round: 1,
-                shard: 6,
-                messages: 48,
-            },
-            ObsEvent::Note {
-                message: "hi".to_owned(),
-            },
+    /// Exact bytes of every record type and every event, as written
+    /// before the event table generated the encoder. The round trip
+    /// cannot catch a rename or reorder that the encoder and decoder
+    /// make together; this can.
+    #[test]
+    fn every_event_serializes_to_its_golden_line() {
+        let mut run = sample_run();
+        run.events = every_event();
+        let mut sink = VecSink::new();
+        write_jsonl(&[run], &mut sink).unwrap();
+        let golden = [
+            r#"{"type":"run_start","backend":"grid","nodes":9,"free":6,"edges":10,"max_iterations":4,"tolerance":0.5,"damping":0.25,"schedule":"sweep","message_bytes":40,"seed":42}"#,
+            r#"{"type":"iteration","iter":0,"max_shift":2.5,"messages":6,"bytes":240,"damping":0.25,"schedule":"sweep","secs":0.001,"max_residual":0.75,"mean_residual":0.75,"residuals":[{"node":3,"residual":0.75,"kl":0.05}]}"#,
+            r#"{"type":"span","span":"message_passing","secs":0.002}"#,
+            r#"{"type":"event","event":"map_fallback_to_mmse","backend":"particle"}"#,
+            r#"{"type":"event","event":"grid_uniform_fallback","edge":7,"stage":"kernel"}"#,
+            r#"{"type":"event","event":"thread_pool_fallback","requested":3,"error":"no threads"}"#,
+            r#"{"type":"event","event":"message_dropped","iteration":0,"count":3}"#,
+            r#"{"type":"event","event":"node_died","iteration":2,"node":5}"#,
+            r#"{"type":"event","event":"stale_message_used","iteration":1,"count":4}"#,
+            r#"{"type":"event","event":"epoch_advanced","tenant":9,"epoch":12}"#,
+            r#"{"type":"event","event":"tenant_shed","tenant":9,"epoch":13}"#,
+            r#"{"type":"event","event":"context","tenant":9,"epoch":null,"shard":18446744073709551615,"round":null}"#,
+            r#"{"type":"event","event":"boundary_exchange","round":1,"shard":6,"messages":48}"#,
+            r#"{"type":"event","event":"note","message":"say \"hi\"\n"}"#,
+            r#"{"type":"run_end","iterations":1,"converged":false,"messages":6,"bytes":240}"#,
         ];
-        for event in &events {
-            match event {
-                ObsEvent::MapFallbackToMmse { .. }
-                | ObsEvent::GridUniformFallback { .. }
-                | ObsEvent::ThreadPoolFallback { .. }
-                | ObsEvent::MessageDropped { .. }
-                | ObsEvent::NodeDied { .. }
-                | ObsEvent::StaleMessageUsed { .. }
-                | ObsEvent::EpochAdvanced { .. }
-                | ObsEvent::TenantShed { .. }
-                | ObsEvent::Context { .. }
-                | ObsEvent::BoundaryExchange { .. }
-                | ObsEvent::Note { .. } => {}
-            }
-        }
-        events
+        assert_eq!(sink.lines, golden);
     }
 
     #[test]
@@ -517,10 +404,7 @@ mod tests {
             .expect("README documents the JSONL schema");
         let end = start + readme[start..].find("```").expect("schema block ends");
         let readme_block = &readme[start..end];
-        for event in every_event() {
-            let line = event_line(&event);
-            let at = line.find("\"event\":\"").expect("event tag") + "\"event\":\"".len();
-            let name = &line[at..at + line[at..].find('"').expect("closing quote")];
+        for name in ObsEvent::NAMES {
             let tag = format!("\"event\":\"{name}\"");
             assert!(module_doc.contains(&tag), "sink.rs schema omits {tag}");
             assert!(readme_block.contains(&tag), "README schema omits {tag}");
