@@ -209,7 +209,7 @@ where
 {
     /// Compiles the boundary graph (cross-shard edges only, global node
     /// indexing, same anchors fixed) and one [`SubGraph`] per occupied
-    /// shard.
+    /// shard, the shards in parallel on the pool.
     fn compile(&self, mrf: &SpatialMrf, occupied: &[usize]) -> (SpatialMrf, Vec<SubGraph>) {
         let layout = &*self.layout;
         let n = mrf.len();
@@ -233,8 +233,11 @@ where
                 boundary.add_edge(edge.u, edge.v, Arc::clone(&edge.potential));
             }
         }
+        // Each `SubGraph` is a pure function of its shard, so the shards
+        // compile on the pool and collect in shard order: the result is
+        // the same at any thread count.
         let subs = occupied
-            .iter()
+            .par_iter()
             .map(|&s| {
                 let shard = &layout.shards()[s];
                 // Locals = members ∪ geometric halo ∪ adjacency halo,

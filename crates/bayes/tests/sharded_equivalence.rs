@@ -1,8 +1,10 @@
 //! Cross-crate contract tests for the sharded execution layer: the
 //! [`ShardedEngine`] must degenerate to the flat engine bit-for-bit on
 //! single-shard layouts for *every* backend, track the flat fixed point
-//! on multi-shard layouts under the synchronous schedule, and stay
-//! finite when the boundary exchange runs over a degraded transport.
+//! on multi-shard layouts under the synchronous schedule, stay finite
+//! when the boundary exchange runs over a degraded transport, and give
+//! the same bits at any pool size on an unplanned (centre-stacked)
+//! layout.
 
 use std::sync::Arc;
 use wsnloc_bayes::{
@@ -185,4 +187,62 @@ fn interior_batching_preserves_the_iteration_budget() {
             "interior={interior}: total interior iterations must match the flat cap"
         );
     }
+}
+
+/// Belief means, as bits, of `engine` run on a pool of `threads`
+/// workers (0 is the default size).
+fn means_on_pool<E>(
+    engine: &E,
+    mrf: &SpatialMrf,
+    opts: &BpOptions,
+    threads: usize,
+) -> Vec<(u64, u64)>
+where
+    E: BpEngine,
+{
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("pool");
+    let (beliefs, _) = pool.install(|| engine.run(mrf, opts));
+    beliefs
+        .iter()
+        .map(|b| (b.mean().x.to_bits(), b.mean().y.to_bits()))
+        .collect()
+}
+
+/// The shape of a deployment with no plan: the localizer places every
+/// free node at the domain centre, so one tile holds a stack of
+/// coincident members, while the scattered anchors occupy the others.
+/// Shard compile and the rounds run on the pool and must not depend on
+/// its size: beliefs match to the bit at one thread and at the default.
+#[test]
+fn unplanned_layout_is_thread_count_invariant() {
+    let (mrf, positions) = deployment(8, 10.0, 0xC0DE);
+    let domain = mrf.domain();
+    let placed: Vec<Vec2> = positions
+        .iter()
+        .enumerate()
+        .map(|(u, &p)| mrf.fixed(u).map_or(domain.center(), |_| p))
+        .collect();
+    let layout = layout_for(&placed, domain, 3, 16.0);
+    assert!(layout.occupied_shards() > 2, "layout must actually shard");
+    let opts = BpOptions::builder()
+        .max_iterations(4)
+        .tolerance(0.0)
+        .try_build()
+        .expect("valid options");
+    let gaussian =
+        ShardedEngine::new(GaussianBp::default(), Arc::clone(&layout), 1).expect("valid config");
+    let grid = ShardedEngine::new(GridBp::with_resolution(16), layout, 2).expect("valid config");
+    assert_eq!(
+        means_on_pool(&gaussian, &mrf, &opts, 1),
+        means_on_pool(&gaussian, &mrf, &opts, 0),
+        "gaussian: beliefs differ between 1 thread and the default pool"
+    );
+    assert_eq!(
+        means_on_pool(&grid, &mrf, &opts, 1),
+        means_on_pool(&grid, &mrf, &opts, 0),
+        "grid: beliefs differ between 1 thread and the default pool"
+    );
 }

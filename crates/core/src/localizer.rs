@@ -385,6 +385,12 @@ impl BnlLocalizer {
     /// the mean node spacing). `None` when sharding is off or the plan
     /// resolves to a single tile — flat execution is the same thing,
     /// cheaper.
+    ///
+    /// A deployment with no plan stacks every free node on the field
+    /// center, so one tile owns them all and sharding it costs a flat
+    /// solve of that tile plus the shard overhead. The layout stays
+    /// cheap: [`ShardLayout::build`] runs one halo query per distinct
+    /// member position, so the stack costs one query, not one per node.
     fn shard_layout(&self, network: &Network) -> Option<(Arc<ShardLayout>, usize)> {
         let plan = self.shards?;
         let n = network.len();

@@ -2,8 +2,11 @@
 //!
 //! Building a connectivity graph naively is O(N²) distance checks; the
 //! simulator instead bins node positions into cells of the query radius and
-//! only inspects the 3×3 cell neighborhood. For the workspace's typical
-//! N ≤ ~10⁴ this keeps network construction effectively linear.
+//! only inspects the 3×3 cell neighborhood. At constant density this keeps
+//! network construction linear in N, up to the million-node deployments of
+//! the scale sweep. A query costs time in proportion to the points in its
+//! cell neighborhood, so many coincident points make each query over them
+//! expensive: `ShardLayout::build` queries each distinct point once.
 
 use crate::aabb::Aabb;
 use crate::vec2::Vec2;

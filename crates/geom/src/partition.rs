@@ -14,7 +14,10 @@
 //! - **Halo**: per shard, the set of *foreign* nodes within
 //!   `halo_radius` of any member, extracted with the spatial hash
 //!   grid's radius query ([`SpatialGrid::within`]) so the halo is
-//!   consistent with neighbor queries made at the same radius. With
+//!   consistent with neighbor queries made at the same radius. The
+//!   query runs once per distinct member position, so a stack of
+//!   coincident members (every free node of an unplanned deployment
+//!   sits at the field centre) costs one query, not one per node. With
 //!   `halo_radius` at least the maximum edge length of a graph built on
 //!   the same positions, every graph neighbor of a member is either a
 //!   member or in the halo.
@@ -103,16 +106,18 @@ impl ShardLayout {
             shard_of.push(s);
             shards[s].members.push(u);
         }
-        // Halo extraction through the spatial hash: for each member, the
-        // radius query returns every node within `halo_radius`; foreign
-        // hits accumulate into the halo. Members are visited in
-        // ascending order and hits come back sorted, so a sort + dedup
-        // leaves a deterministic ascending list.
+        // Halo extraction through the spatial hash: the radius query
+        // returns every node within `halo_radius` of a point, and foreign
+        // hits accumulate into the halo. A query depends only on its
+        // point, so coincident members share one query (an unplanned
+        // deployment stacks every free node on one spot). The union of
+        // hits is the same set either way, and a sort + dedup leaves a
+        // deterministic ascending list.
         if n > 0 {
             let grid = SpatialGrid::build(bounds, halo_radius, positions);
             for (s, shard) in shards.iter_mut().enumerate() {
-                for &u in &shard.members {
-                    for v in grid.within(positions[u], halo_radius) {
+                for q in distinct_positions(&shard.members, positions) {
+                    for v in grid.within(q, halo_radius) {
                         if shard_of[v] != s {
                             shard.halo.push(v);
                         }
@@ -198,6 +203,20 @@ impl ShardLayout {
     }
 }
 
+/// The distinct positions of `members`, compared bit for bit, in
+/// ascending bit order. These are the halo query points of a shard.
+fn distinct_positions(members: &[usize], positions: &[Vec2]) -> Vec<Vec2> {
+    let mut bits: Vec<(u64, u64)> = members
+        .iter()
+        .map(|&u| (positions[u].x.to_bits(), positions[u].y.to_bits()))
+        .collect();
+    bits.sort_unstable();
+    bits.dedup();
+    bits.into_iter()
+        .map(|(x, y)| Vec2::new(f64::from_bits(x), f64::from_bits(y)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,8 +228,20 @@ mod tests {
         let side = rng.range(50.0, 400.0);
         let bounds = Aabb::from_size(side, side);
         let n = 20 + rng.index(300);
-        let positions: Vec<Vec2> = (0..n)
+        // Draw from a small pool of points most of the time, so that
+        // coincident members (and coincident cross-tile neighbors) are
+        // common, with some scattered points among them.
+        let pool: Vec<Vec2> = (0..1 + rng.index(12))
             .map(|_| rng.point_in(bounds.min, bounds.max))
+            .collect();
+        let positions: Vec<Vec2> = (0..n)
+            .map(|_| {
+                if rng.bernoulli(0.7) {
+                    pool[rng.index(pool.len())]
+                } else {
+                    rng.point_in(bounds.min, bounds.max)
+                }
+            })
             .collect();
         let tiles_x = 1 + rng.index(5);
         let tiles_y = 1 + rng.index(5);
@@ -265,6 +296,25 @@ mod tests {
                 assert_eq!(shard.halo, expect, "halo mismatch for shard {s}");
             }
         });
+    }
+
+    #[test]
+    fn halo_queries_run_once_per_distinct_position() {
+        // 20 000 members stacked on one point plus 3 scattered ones (two
+        // of them one ulp apart, so still distinct) give exactly 4 query
+        // points.
+        let centre = Vec2::new(50.0, 50.0);
+        let mut positions = vec![centre; 20_000];
+        positions.insert(7, Vec2::new(10.0, 20.0));
+        positions.push(Vec2::new(90.0, 5.0));
+        positions.push(Vec2::new(10.0, 20.000_000_000_000_004));
+        let members: Vec<usize> = (0..positions.len()).collect();
+        let queries = distinct_positions(&members, &positions);
+        assert_eq!(queries.len(), 4);
+        for p in &positions {
+            assert!(queries.iter().any(|q| q.x == p.x && q.y == p.y));
+        }
+        assert!(distinct_positions(&[], &positions).is_empty());
     }
 
     #[test]
