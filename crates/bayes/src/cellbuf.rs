@@ -2,11 +2,10 @@
 //!
 //! The grid engine's inner kernels (message scatter, belief products,
 //! normalization) all run on `f64` cell slices. The dominant operation
-//! is the fused scaled accumulate `out[i] += a · k[i]` ([`axpy`]) and
-//! its reversed-kernel twin ([`axpy_rev`]); both dispatch at runtime to
-//! AVX2+FMA kernels when the CPU has them and otherwise fall back to a
-//! chunked portable loop the compiler can autovectorize at the build's
-//! baseline feature level.
+//! is the fused scaled accumulate `out[i] += a · k[i]` ([`axpy`]), which
+//! dispatches at runtime to an AVX2+FMA kernel when the CPU has one and
+//! otherwise falls back to a chunked portable loop the compiler can
+//! autovectorize at the build's baseline feature level.
 
 /// Sequential sum of a cell slice in slice order — the engine's
 /// normalization arithmetic.
@@ -89,23 +88,6 @@ pub(crate) fn axpy(out: &mut [f64], a: f64, k: &[f64]) {
     axpy_portable(out, a, k);
 }
 
-/// `out[i] += a · k[len − 1 − i]`: accumulate against the *reversed*
-/// kernel slice. The mirrored stencil unfolds its rows instead (see
-/// `stencil::scatter_mirrored`), so only the tests call this today.
-#[allow(
-    dead_code,
-    reason = "reversed-kernel twin of `axpy`, pinned by its tests"
-)]
-fn axpy_rev(out: &mut [f64], a: f64, k: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if x86::have_avx2_fma() {
-        // SAFETY: guarded by runtime AVX2+FMA detection.
-        unsafe { x86::axpy_rev_f64(out, a, k) };
-        return;
-    }
-    axpy_rev_portable(out, a, k);
-}
-
 /// Portable `out[i] += a · k[i]`: fixed-width chunks of exact `zip`s so
 /// the inner loop carries no bounds checks and autovectorizes at the
 /// build's baseline feature level (SSE2 on x86-64 by default).
@@ -124,17 +106,8 @@ fn axpy_portable(out: &mut [f64], a: f64, k: &[f64]) {
     }
 }
 
-/// Portable `out[i] += a · k[len − 1 − i]` (reversed kernel).
-fn axpy_rev_portable(out: &mut [f64], a: f64, k: &[f64]) {
-    let n = out.len().min(k.len());
-    debug_assert_eq!(out.len(), k.len());
-    for (t, &kv) in out[..n].iter_mut().zip(k[..n].iter().rev()) {
-        *t += a * kv;
-    }
-}
-
-/// Runtime-dispatched AVX2+FMA kernels. The crate builds at the default
-/// x86-64 baseline (SSE2), so these paths are selected per process via
+/// Runtime-dispatched AVX2+FMA kernel. The crate builds at the default
+/// x86-64 baseline (SSE2), so this path is selected per process via
 /// `is_x86_feature_detected!` and reached only through that guard.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
@@ -185,37 +158,6 @@ mod x86 {
             out[j] = a.mul_add(k[j], out[j]);
         }
     }
-
-    /// `out[i] += a · k[n − 1 − i]` with 4-wide f64 FMA over a
-    /// lane-reversed kernel load.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and FMA (gate with
-    /// [`have_avx2_fma`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn axpy_rev_f64(out: &mut [f64], a: f64, k: &[f64]) {
-        debug_assert_eq!(out.len(), k.len());
-        let n = out.len().min(k.len());
-        let va = _mm256_set1_pd(a);
-        let op = out.as_mut_ptr();
-        let kp = k.as_ptr();
-        let mut i = 0usize;
-        // SAFETY: stores cover `[i, i + 4)` with `i + 4 ≤ n`; the kernel
-        // load covers `[n − 4 − i, n − i)`, in bounds for the same reason.
-        unsafe {
-            while i + 4 <= n {
-                let o0 = _mm256_loadu_pd(op.add(i));
-                let kk = _mm256_loadu_pd(kp.add(n - 4 - i));
-                // Reverse the 4 lanes: imm8 0b00_01_10_11 selects 3,2,1,0.
-                let kr = _mm256_permute4x64_pd(kk, 0b0001_1011);
-                _mm256_storeu_pd(op.add(i), _mm256_fmadd_pd(va, kr, o0));
-                i += 4;
-            }
-        }
-        for j in i..n {
-            out[j] = a.mul_add(k[n - 1 - j], out[j]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -241,23 +183,6 @@ mod tests {
                 assert!(
                     (a - b).abs() <= 1e-15 * b.abs().max(1.0),
                     "n={n} i={i}: {a} vs {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn axpy_rev_reverses_kernel() {
-        for n in 0..40 {
-            let k: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
-            let mut out = vec![0.0f64; n];
-            axpy_rev(&mut out, 2.0, &k);
-            for i in 0..n {
-                let want = 2.0 * k[n - 1 - i];
-                assert!(
-                    (out[i] - want).abs() <= 1e-12,
-                    "n={n} i={i}: {} vs {want}",
-                    out[i]
                 );
             }
         }

@@ -60,7 +60,7 @@ pub struct RunOutcome<B> {
 ///   continues a run mid-flight without double-counting measurements.
 ///
 /// [`WarmStart::carried`] sets both to the same slice (epoch
-/// carry-over). [`WarmStart::resume`] sets only `state`. Both slices,
+/// carry-over); a sharded outer round sets only `state`. Both slices,
 /// when present, must hold one belief per MRF variable; entries for
 /// fixed (anchor) variables are ignored.
 #[derive(Debug)]
@@ -98,18 +98,6 @@ impl<'a, B> WarmStart<'a, B> {
         WarmStart {
             prior: Some(beliefs),
             state: Some(beliefs),
-        }
-    }
-
-    /// Mid-run resume: `state` seeds the beliefs that messages are
-    /// computed from, while updates keep multiplying against the
-    /// model's own priors — iteration `k+1` of a flat run is exactly a
-    /// one-iteration resume from its iteration-`k` beliefs.
-    #[must_use]
-    pub fn resume(state: &'a [B]) -> Self {
-        WarmStart {
-            prior: None,
-            state: Some(state),
         }
     }
 

@@ -124,17 +124,6 @@ impl ParticleBelief {
         self.covariance().trace().sqrt()
     }
 
-    /// Effective sample size `(Σw)²/Σw²` — `len()` for uniform weights,
-    /// 1 for a degenerate belief.
-    pub fn effective_sample_size(&self) -> f64 {
-        let sum_sq: f64 = self.weights.iter().map(|w| w * w).sum();
-        if sum_sq > 0.0 {
-            1.0 / sum_sq
-        } else {
-            0.0
-        }
-    }
-
     /// Systematic resample to `count` equally weighted particles.
     pub fn resampled(&self, count: usize, rng: &mut Xoshiro256pp) -> ParticleBelief {
         let particles: Vec<Vec2> = match systematic_resample(rng, &self.weights, count) {
@@ -695,19 +684,6 @@ mod tests {
         let b = ParticleBelief::new(vec![Vec2::ZERO, Vec2::new(2.0, 0.0)], vec![0.0, 0.0]);
         assert!((b.weights()[0] - 0.5).abs() < 1e-12);
         assert!((b.mean().x - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ess_detects_degeneracy() {
-        let uniform = ParticleBelief::from_points(vec![Vec2::ZERO; 100]);
-        assert!((uniform.effective_sample_size() - 100.0).abs() < 1e-9);
-        let degenerate = ParticleBelief::new(
-            vec![Vec2::ZERO; 100],
-            std::iter::once(1.0)
-                .chain(std::iter::repeat_n(1e-12, 99))
-                .collect(),
-        );
-        assert!(degenerate.effective_sample_size() < 1.5);
     }
 
     #[test]

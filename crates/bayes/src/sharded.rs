@@ -20,15 +20,15 @@
 //! Execution alternates **interior sweeps** and **boundary exchange**:
 //! each outer round runs `interior_iterations` BP iterations inside
 //! every shard in parallel on the persistent worker pool (the inner
-//! engines resume from the previous round's state via
-//! [`WarmStart::resume`], so measurements are never double-counted),
+//! engines resume from the previous round's state through
+//! [`WarmStart::state`], so measurements are never double-counted),
 //! then every shard's halo mirrors are refreshed from the owners'
 //! fresh beliefs. Cross-shard refreshes travel through the existing
 //! [`Transport`] seam: under a faulted transport, a per-run
 //! `TransportSession` is built over the *boundary graph* (exactly the
 //! factor-graph edges whose endpoints live in different shards), so
-//! fault injection — loss, bursts, staleness, node death, asymmetry —
-//! applies per cross-shard link while interior sweeps stay lossless.
+//! fault injection — loss, bursts, staleness, node death — applies
+//! per cross-shard link while interior sweeps stay lossless.
 //! Staleness-discounted deliveries temper the mirrored belief itself
 //! through [`TemperBelief`] (the belief-level analog of the flat
 //! engines' per-message `alpha` discount).

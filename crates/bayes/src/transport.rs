@@ -7,7 +7,7 @@
 //! fault-free code path, bit-identical to not having a transport at
 //! all), while a faulted transport rolls per-directed-link fates each
 //! iteration from a [`FaultPlan`] — message loss (i.i.d. or bursty),
-//! node death, stale delivery, and structurally asymmetric links.
+//! node death and stale delivery.
 //!
 //! The state machine per directed link is deliberately simple:
 //!
@@ -21,9 +21,9 @@
 //!   plan's [`DropPolicy`]: hold the last received content at full
 //!   weight, or apply it with weight `decay^age` so a long-silent
 //!   neighbor fades back to the receiver's prior.
-//! * **Never received** — the link has not delivered anything yet (or
-//!   is structurally blocked); the edge contributes nothing, exactly
-//!   as if it were absent from the graph this iteration.
+//! * **Never received** — the link has not delivered anything yet; the
+//!   edge contributes nothing, exactly as if it were absent from the
+//!   graph this iteration.
 //!
 //! Dead nodes stop transmitting (their outgoing links stop refreshing)
 //! and stop updating (the engine freezes their beliefs), but their
@@ -61,12 +61,6 @@ impl Transport {
     pub fn faulted(plan: Arc<FaultPlan>) -> Self {
         let plan = if plan.is_none() { None } else { Some(plan) };
         Transport { plan }
-    }
-
-    /// True iff this transport is a pass-through.
-    #[must_use]
-    pub fn is_perfect(&self) -> bool {
-        self.plan.is_none()
     }
 
     /// Instantiates per-run fault state for one BP run, or `None` for
@@ -120,8 +114,6 @@ pub(crate) struct TransportSession<B> {
     /// Whether the sender is a fixed (anchor) node — its "content" is
     /// its position, so no belief snapshot is kept.
     sender_fixed: Vec<bool>,
-    /// Structurally silent links (asymmetry model), fixed for the run.
-    blocked: Vec<bool>,
     /// Gilbert–Elliott channel state per directed link (`true` = Bad).
     ge_bad: Vec<bool>,
     /// Iterations since the link's content was last refreshed.
@@ -147,7 +139,6 @@ impl<B: Clone> TransportSession<B> {
         let mut receivers = Vec::with_capacity(links);
         let mut active = Vec::with_capacity(links);
         let mut sender_fixed = Vec::with_capacity(links);
-        let mut blocked = vec![false; links];
         for edge in mrf.edges() {
             // dir 2e: into edge.u; dir 2e+1: into edge.v.
             for (recv, send) in [(edge.u, edge.v), (edge.v, edge.u)] {
@@ -155,13 +146,6 @@ impl<B: Clone> TransportSession<B> {
                 receivers.push(recv);
                 active.push(mrf.fixed(recv).is_none());
                 sender_fixed.push(mrf.fixed(send).is_some());
-            }
-        }
-        if plan.asymmetry > 0.0 {
-            let p = plan.asymmetry.clamp(0.0, 1.0);
-            for (dir, b) in blocked.iter_mut().enumerate() {
-                let mut rng = root.split(0xA5B1_0000_0000_0000 | dir as u64);
-                *b = rng.f64() < p;
             }
         }
         TransportSession {
@@ -173,7 +157,6 @@ impl<B: Clone> TransportSession<B> {
             receivers,
             active,
             sender_fixed,
-            blocked,
             ge_bad: vec![false; links],
             age: vec![0; links],
             received: vec![false; links],
@@ -211,7 +194,7 @@ impl<B: Clone> TransportSession<B> {
         let mut stale = 0u64;
         let iter_tag = ((iter as u64) + 1) << 32;
         for dir in 0..self.senders.len() {
-            if !self.active[dir] || !self.alive[self.receivers[dir]] || self.blocked[dir] {
+            if !self.active[dir] || !self.alive[self.receivers[dir]] {
                 continue;
             }
             let mut rng = self.root.split(iter_tag | dir as u64);

@@ -58,18 +58,6 @@ fn particle_belief_resample_preserves_support() {
 }
 
 #[test]
-fn particle_ess_bounded() {
-    check::cases(CASES, |_, rng| {
-        let n = 2 + rng.index(98);
-        let pts = vec![Vec2::ZERO; n];
-        let weights: Vec<f64> = (0..n).map(|_| rng.f64() + 1e-12).collect();
-        let b = ParticleBelief::new(pts, weights);
-        let ess = b.effective_sample_size();
-        assert!(ess >= 1.0 - 1e-9 && ess <= n as f64 + 1e-9, "ess {ess}");
-    });
-}
-
-#[test]
 fn bp_single_anchor_ring_distance_recovered() {
     check::cases(CASES, |_, rng| {
         // One anchor + ring measurement: the belief should concentrate at

@@ -2,7 +2,7 @@
 //!
 //! [`evaluate`] runs a [`Localizer`] over independent trials of a
 //! [`Scenario`] — trial `t` realizes the scenario with seed offset `t` and
-//! localizes with algorithm seed `seed_base + t` — and aggregates errors,
+//! localizes with algorithm seed `t` — and aggregates errors,
 //! coverage, communication, and runtime. How many trials, how they are
 //! scheduled, and what telemetry they report is configured through
 //! [`EvalConfig`]; `EvalConfig::trials(n)` reproduces the historical
@@ -13,13 +13,11 @@
 
 use rayon::prelude::*;
 use rayon::PoolStats;
-use std::sync::Arc;
 use wsnloc::Localizer;
 use wsnloc_geom::stats::{self, Welford};
 use wsnloc_net::Scenario;
 use wsnloc_obs::{
-    FanoutObserver, InferenceObserver, MetricsObserver, MetricsSnapshot, ObsEvent, RunTrace,
-    TraceObserver,
+    FanoutObserver, InferenceObserver, MetricsObserver, MetricsSnapshot, RunTrace, TraceObserver,
 };
 
 use crate::metrics::{localized_errors, ErrorSummary};
@@ -33,26 +31,15 @@ pub enum Parallelism {
     Ambient,
     /// Run trials one after another on the calling thread.
     Sequential,
-    /// Run trials on a dedicated pool of this many threads. Falls back to
-    /// the ambient pool if the pool cannot be built.
-    Threads(usize),
 }
 
 /// Options for [`evaluate`]. `EvalConfig::trials(n)` matches the behavior
 /// of the old positional `evaluate(algo, scenario, n)` signature exactly;
 /// everything else is opt-in.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct EvalConfig {
     /// Monte-Carlo trials to run.
     pub trials: u64,
-    /// Added to the trial index to form both the scenario realization seed
-    /// and the algorithm seed (default 0, the historical behavior).
-    pub seed_base: u64,
-    /// Observer attached to *every* trial's inference run. Because trials
-    /// may run concurrently, a recording observer here sees interleaved
-    /// runs — combine with [`Parallelism::Sequential`] for ordered traces,
-    /// or use [`EvalConfig::collect_traces`], which records per trial.
-    pub observer: Option<Arc<dyn InferenceObserver>>,
     /// Trial scheduling.
     pub parallelism: Parallelism,
     /// Record a [`RunTrace`] per trial (one private [`TraceObserver`] each,
@@ -68,19 +55,6 @@ pub struct EvalConfig {
     pub collect_metrics: bool,
 }
 
-impl std::fmt::Debug for EvalConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EvalConfig")
-            .field("trials", &self.trials)
-            .field("seed_base", &self.seed_base)
-            .field("observer", &self.observer.as_ref().map(|_| "<dyn>"))
-            .field("parallelism", &self.parallelism)
-            .field("collect_traces", &self.collect_traces)
-            .field("collect_metrics", &self.collect_metrics)
-            .finish()
-    }
-}
-
 impl EvalConfig {
     /// Configuration equivalent to the historical
     /// `evaluate(algo, scenario, trials)` call.
@@ -89,18 +63,6 @@ impl EvalConfig {
             trials,
             ..EvalConfig::default()
         }
-    }
-
-    /// Sets the seed base (trial `t` uses seed `seed_base + t`).
-    pub fn with_seed_base(mut self, seed_base: u64) -> Self {
-        self.seed_base = seed_base;
-        self
-    }
-
-    /// Attaches an observer to every trial's inference run.
-    pub fn with_observer(mut self, observer: Arc<dyn InferenceObserver>) -> Self {
-        self.observer = Some(observer);
-        self
     }
 
     /// Sets the trial scheduling policy.
@@ -307,11 +269,10 @@ fn trial_record(
 pub fn evaluate(algo: &dyn Localizer, scenario: &Scenario, config: &EvalConfig) -> EvalOutcome {
     type TrialOutput = (TrialRecord, Vec<RunTrace>, Option<MetricsSnapshot>);
     let run_one = |t: u64| -> TrialOutput {
-        let seed = config.seed_base + t;
         let tracer = config.collect_traces.then(TraceObserver::new);
         let meter = config.collect_metrics.then(MetricsObserver::new);
-        // Per-trial recorders first, shared external observer last; with
-        // no recorders configured the bare (zero-cost) path is taken.
+        // Per-trial recorders; with none configured the bare (zero-cost)
+        // path is taken.
         let mut hooks: Vec<&dyn InferenceObserver> = Vec::new();
         if let Some(tracer) = tracer.as_ref() {
             hooks.push(tracer);
@@ -319,15 +280,12 @@ pub fn evaluate(algo: &dyn Localizer, scenario: &Scenario, config: &EvalConfig) 
         if let Some(meter) = meter.as_ref() {
             hooks.push(meter);
         }
-        if let Some(ext) = config.observer.as_deref() {
-            hooks.push(ext);
-        }
         let record = match hooks.as_slice() {
-            [] => run_trial(algo, scenario, seed),
-            [only] => run_trial_observed(algo, scenario, seed, *only),
+            [] => run_trial(algo, scenario, t),
+            [only] => run_trial_observed(algo, scenario, t, *only),
             _ => {
                 let fan = FanoutObserver::new(hooks);
-                run_trial_observed(algo, scenario, seed, &fan)
+                run_trial_observed(algo, scenario, t, &fan)
             }
         };
         (
@@ -341,22 +299,6 @@ pub fn evaluate(algo: &dyn Localizer, scenario: &Scenario, config: &EvalConfig) 
     let results: Vec<TrialOutput> = match config.parallelism {
         Parallelism::Sequential => (0..config.trials).map(run_one).collect(),
         Parallelism::Ambient => (0..config.trials).into_par_iter().map(run_one).collect(),
-        Parallelism::Threads(n) => match rayon::ThreadPoolBuilder::new().num_threads(n).build() {
-            Ok(pool) => pool.install(|| (0..config.trials).into_par_iter().map(run_one).collect()),
-            Err(e) => {
-                // The fallback to the ambient pool is benign for results
-                // (per-trial seeds make the aggregate schedule-independent)
-                // but must not be silent: scaling experiments comparing
-                // thread counts would otherwise measure the wrong pool.
-                if let Some(obs) = config.observer.as_deref() {
-                    obs.on_event(&ObsEvent::ThreadPoolFallback {
-                        requested: n,
-                        error: e.to_string(),
-                    });
-                }
-                (0..config.trials).into_par_iter().map(run_one).collect()
-            }
-        },
     };
 
     let mut pooled = Vec::new();
@@ -460,17 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn seed_base_shifts_the_trial_stream() {
-        let a = evaluate(&Centroid, &tiny_scenario(), &EvalConfig::trials(2));
-        let b = evaluate(
-            &Centroid,
-            &tiny_scenario(),
-            &EvalConfig::trials(2).with_seed_base(100),
-        );
-        assert_ne!(a.mean_error, b.mean_error);
-    }
-
-    #[test]
     fn normalized_summary_scales() {
         let outcome = evaluate(&Centroid, &tiny_scenario(), &EvalConfig::trials(2));
         let raw = outcome.summary().unwrap();
@@ -553,24 +484,5 @@ mod tests {
         assert!(both.metrics.is_some() && both.trace.is_some());
         let bare = evaluate(&algo, &tiny_scenario(), &EvalConfig::trials(1));
         assert!(bare.metrics.is_none() && bare.trace.is_none());
-    }
-
-    #[test]
-    fn shared_observer_sees_all_trials() {
-        use std::sync::Arc;
-        let algo = BnlLocalizer::builder(Backend::particle(40).expect("valid backend"))
-            .max_iterations(2)
-            .tolerance(0.0)
-            .try_build()
-            .expect("valid config");
-        let obs = Arc::new(TraceObserver::new());
-        let _ = evaluate(
-            &algo,
-            &tiny_scenario(),
-            &EvalConfig::trials(3)
-                .with_observer(obs.clone())
-                .with_parallelism(Parallelism::Sequential),
-        );
-        assert_eq!(obs.run_count(), 3);
     }
 }

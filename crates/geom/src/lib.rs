@@ -15,7 +15,7 @@
 //!   polygons) with containment tests and rejection sampling.
 //! - [`matrix`] — row-major dense matrices with Cholesky/LU solvers and a
 //!   Jacobi symmetric eigendecomposition (used by MDS-MAP and the CRLB).
-//! - [`stats`] — summary statistics, percentiles, histograms, Welford online
+//! - [`stats`] — summary statistics, percentiles, Welford online
 //!   accumulation.
 //! - [`rng`] — xoshiro256++ generator, SplitMix64 seeding, normal/exponential
 //!   sampling, weighted choice, shuffling, and stream splitting.

@@ -166,12 +166,6 @@ impl ShardLayout {
         self.halo_radius
     }
 
-    /// Number of tiles (including empty ones).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of partitioned nodes.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -256,7 +250,7 @@ mod tests {
         // shard is the one `shard_of` reports.
         check::cases(40, |_case, rng| {
             let (_, positions, tiles_x, tiles_y, _, layout) = random_layout(rng);
-            assert_eq!(layout.shard_count(), tiles_x * tiles_y);
+            assert_eq!(layout.shards().len(), tiles_x * tiles_y);
             assert_eq!(layout.len(), positions.len());
             let mut seen = vec![0usize; positions.len()];
             for (s, shard) in layout.shards().iter().enumerate() {
@@ -324,7 +318,7 @@ mod tests {
             .map(|i| Vec2::new(4.0 * i as f64, 96.0 - 3.0 * i as f64))
             .collect();
         let layout = ShardLayout::build(bounds, 1, 1, &positions, 30.0);
-        assert_eq!(layout.shard_count(), 1);
+        assert_eq!(layout.shards().len(), 1);
         assert_eq!(layout.occupied_shards(), 1);
         assert_eq!(layout.shards()[0].members, (0..25).collect::<Vec<_>>());
         assert!(layout.shards()[0].halo.is_empty());
@@ -354,7 +348,7 @@ mod tests {
     fn empty_position_set_builds() {
         let layout = ShardLayout::build(Aabb::from_size(1.0, 1.0), 3, 3, &[], 0.5);
         assert!(layout.is_empty());
-        assert_eq!(layout.shard_count(), 9);
+        assert_eq!(layout.shards().len(), 9);
         assert_eq!(layout.occupied_shards(), 0);
     }
 }

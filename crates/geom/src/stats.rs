@@ -1,7 +1,7 @@
 //! Summary statistics for experiment reporting.
 //!
 //! The evaluation harness reports mean / median / percentile localization
-//! errors, their CDFs, and confidence half-widths across Monte-Carlo trials.
+//! errors and confidence half-widths across Monte-Carlo trials.
 //! Everything here is plain `f64` slice math with NaN-hostile behaviour:
 //! inputs are asserted finite in debug builds and NaNs would poison sorts,
 //! so generators upstream must never emit them.
@@ -85,23 +85,6 @@ pub fn ci95_half_width(xs: &[f64]) -> Option<f64> {
     Some(1.96 * sd / (xs.len() as f64).sqrt())
 }
 
-/// Evaluates the empirical CDF at `points.len()` evenly spaced error levels
-/// from 0 to `max`, returning `(level, fraction ≤ level)` pairs. Used to
-/// reproduce per-node error CDF figures.
-pub fn empirical_cdf(xs: &[f64], max: f64, points: usize) -> Vec<(f64, f64)> {
-    assert!(points >= 2, "need at least two CDF points");
-    let sorted = sorted_total(xs);
-    let n = sorted.len();
-    (0..points)
-        .map(|i| {
-            let level = max * i as f64 / (points - 1) as f64;
-            let count = sorted.partition_point(|&x| x <= level);
-            let frac = if n == 0 { 0.0 } else { count as f64 / n as f64 };
-            (level, frac)
-        })
-        .collect()
-}
-
 /// One-pass (Welford) accumulator for mean and variance; usable online and
 /// mergeable across parallel shards.
 #[derive(Debug, Clone, Copy, Default)]
@@ -158,57 +141,6 @@ impl Welford {
     }
 }
 
-/// Fixed-bin histogram over `[lo, hi)` with out-of-range clamping; used for
-/// belief visualization and distribution sanity checks.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// Histogram with `bins` equal-width bins over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(hi > lo && bins > 0, "invalid histogram domain");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-        }
-    }
-
-    /// Adds an observation; values outside `[lo, hi)` clamp to the end bins.
-    pub fn push(&mut self, x: f64) {
-        let bins = self.counts.len();
-        let t = (x - self.lo) / (self.hi - self.lo);
-        let idx = ((t * bins as f64) as isize).clamp(0, bins as isize - 1) as usize;
-        self.counts[idx] += 1;
-    }
-
-    /// Raw bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Normalized bin frequencies (empty histogram yields all zeros).
-    pub fn frequencies(&self) -> Vec<f64> {
-        let total = self.total();
-        if total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / total as f64)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,21 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_monotone_and_bounded() {
-        let xs = [0.1, 0.4, 0.4, 0.9, 2.0];
-        let cdf = empirical_cdf(&xs, 2.0, 11);
-        assert_eq!(cdf.len(), 11);
-        assert_eq!(cdf[0].0, 0.0);
-        assert_eq!(cdf.last().unwrap().1, 1.0);
-        for w in cdf.windows(2) {
-            assert!(w[1].1 >= w[0].1, "CDF must be monotone");
-        }
-        // Fraction at level 0.4 counts the two 0.4 values and 0.1.
-        let at_04 = cdf.iter().find(|(l, _)| (*l - 0.4).abs() < 1e-9).unwrap();
-        assert!((at_04.1 - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
     fn welford_matches_batch() {
         let xs = [1.5, -2.0, 3.0, 0.5, 10.0, -7.5];
         let mut w = Welford::new();
@@ -312,24 +229,5 @@ mod tests {
         let mut c = Welford::new();
         c.merge(&a);
         assert_eq!(c.mean(), Some(2.0));
-    }
-
-    #[test]
-    fn histogram_binning_and_clamping() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.5, 1.5, 2.5, 9.9, -3.0, 42.0] {
-            h.push(x);
-        }
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.counts()[0], 3); // 0.5, 1.5 and clamped -3.0
-        assert_eq!(h.counts()[4], 2); // 9.9 and clamped 42.0
-        let freq = h.frequencies();
-        assert!((freq.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_histogram_frequencies() {
-        let h = Histogram::new(0.0, 1.0, 3);
-        assert_eq!(h.frequencies(), vec![0.0, 0.0, 0.0]);
     }
 }

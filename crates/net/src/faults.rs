@@ -2,9 +2,8 @@
 //!
 //! A real WSN deployment is not the perfect synchronous fabric the BP
 //! engines' happy path assumes: packets are lost (independently or in
-//! bursts), nodes exhaust their batteries mid-run, messages arrive one
-//! round late, and links are frequently asymmetric (u hears v, v never
-//! hears u). A [`FaultPlan`] describes all of these as a *seeded,
+//! bursts), nodes exhaust their batteries mid-run, and messages arrive
+//! one round late. A [`FaultPlan`] describes all of these as a *seeded,
 //! deterministic* schedule, so a faulted run is exactly as replayable as
 //! a fault-free one: the same plan applied to the same network and the
 //! same run seed yields bit-identical fault decisions.
@@ -110,15 +109,11 @@ pub struct FaultPlan {
     /// the previous one (the new content is delayed past this
     /// iteration) in `[0, 1]`.
     pub stale_prob: f64,
-    /// Probability that a directed link is structurally silent for the
-    /// whole run while its reverse direction may work, in `[0, 1]`.
-    /// Models asymmetric radio links.
-    pub asymmetry: f64,
 }
 
 impl FaultPlan {
-    /// The identity plan: no loss, no deaths, no staleness, no
-    /// asymmetry. Engines compile this down to the fault-free path.
+    /// The identity plan: no loss, no deaths, no staleness. Engines
+    /// compile this down to the fault-free path.
     #[must_use]
     pub fn none() -> Self {
         FaultPlan {
@@ -127,7 +122,6 @@ impl FaultPlan {
             drop_policy: DropPolicy::HoldLast,
             deaths: DeathModel::None,
             stale_prob: 0.0,
-            asymmetry: 0.0,
         }
     }
 
@@ -163,20 +157,12 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the asymmetric-link probability.
-    #[must_use]
-    pub fn with_asymmetry(mut self, p: f64) -> Self {
-        self.asymmetry = p;
-        self
-    }
-
     /// True iff the plan injects no faults at all.
     #[must_use]
     pub fn is_none(&self) -> bool {
         matches!(self.loss, LossModel::None)
             && matches!(self.deaths, DeathModel::None)
             && self.stale_prob <= 0.0
-            && self.asymmetry <= 0.0
     }
 
     /// Long-run (stationary) per-message loss probability of the loss

@@ -32,8 +32,8 @@
 //! 8. **Scenario** ([`scenario`]) — a serializable description of an entire
 //!    simulation configuration (field, N, anchors, radio, noise, seed).
 //! 9. **Faults** ([`faults`]) — seeded communication-fault schedules
-//!    (message loss, node death, stale delivery, asymmetric links) consumed
-//!    by the BP transport seam and, in persistent-equivalent form, by
+//!    (message loss, node death, stale delivery) consumed by the BP
+//!    transport seam and, in persistent-equivalent form, by
 //!    non-iterative baselines.
 
 #![warn(missing_docs)]

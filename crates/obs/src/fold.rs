@@ -44,8 +44,6 @@ pub struct EventCounts {
     pub map_fallbacks: u64,
     /// Grid messages that collapsed to the uniform fallback.
     pub grid_uniform_fallbacks: u64,
-    /// Evaluation thread-pool build failures.
-    pub pool_fallbacks: u64,
     /// Streaming-tenant epochs advanced (BP ran).
     pub epoch_advances: u64,
     /// Streaming-tenant epochs shed under overload (coasted, no BP).
@@ -163,7 +161,6 @@ impl MetricsSnapshot {
             e.node_deaths += p.events.node_deaths;
             e.map_fallbacks += p.events.map_fallbacks;
             e.grid_uniform_fallbacks += p.events.grid_uniform_fallbacks;
-            e.pool_fallbacks += p.events.pool_fallbacks;
             e.epoch_advances += p.events.epoch_advances;
             e.tenants_shed += p.events.tenants_shed;
             e.contexts += p.events.contexts;
@@ -266,13 +263,12 @@ impl MetricsSnapshot {
         let e = &self.events;
         let _ = writeln!(
             out,
-            "totals: dropped={} stale={} deaths={} map_fallbacks={} grid_fallbacks={} pool_fallbacks={}",
+            "totals: dropped={} stale={} deaths={} map_fallbacks={} grid_fallbacks={}",
             e.dropped_messages,
             e.stale_messages,
             e.node_deaths,
             e.map_fallbacks,
-            e.grid_uniform_fallbacks,
-            e.pool_fallbacks
+            e.grid_uniform_fallbacks
         );
         out
     }
@@ -326,7 +322,6 @@ pub struct MetricsObserver {
     deaths: Counter,
     map_fallbacks: Counter,
     grid_fallbacks: Counter,
-    pool_fallbacks: Counter,
     epoch_advances: Counter,
     tenants_shed: Counter,
     contexts: Counter,
@@ -379,7 +374,6 @@ impl MetricsObserver {
                 "wsnloc_grid_uniform_fallbacks",
                 "grid messages collapsed to uniform",
             ),
-            pool_fallbacks: c("wsnloc_pool_fallbacks", "thread-pool build failures"),
             epoch_advances: c(
                 "wsnloc_stream_epochs_advanced",
                 "streaming-tenant epochs that ran BP",
@@ -453,7 +447,6 @@ impl MetricsObserver {
                 node_deaths: self.deaths.value(),
                 map_fallbacks: self.map_fallbacks.value(),
                 grid_uniform_fallbacks: self.grid_fallbacks.value(),
-                pool_fallbacks: self.pool_fallbacks.value(),
                 epoch_advances: self.epoch_advances.value(),
                 tenants_shed: self.tenants_shed.value(),
                 contexts: self.contexts.value(),
@@ -510,7 +503,6 @@ impl InferenceObserver for MetricsObserver {
         match event {
             ObsEvent::MapFallbackToMmse { .. } => self.map_fallbacks.inc(),
             ObsEvent::GridUniformFallback { .. } => self.grid_fallbacks.inc(),
-            ObsEvent::ThreadPoolFallback { .. } => self.pool_fallbacks.inc(),
             ObsEvent::EpochAdvanced { .. } => self.epoch_advances.inc(),
             ObsEvent::TenantShed { .. } => self.tenants_shed.inc(),
             ObsEvent::Context { .. } => self.contexts.inc(),

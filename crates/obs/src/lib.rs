@@ -55,12 +55,9 @@
 //!   still going. Rotation is caller-driven, never wall-clock-driven.
 //! - [`TelemetryServer`] — a hand-rolled, std-only HTTP/1.1 listener
 //!   exposing `/metrics` (OpenMetrics: registry totals + windowed
-//!   series), `/healthz` (liveness, last-tick age, span snapshot), and
+//!   series), `/healthz` (liveness, last-tick age), and
 //!   `/tenants` (JSON rollup) from a [`TelemetryHub`] the engine
 //!   updates.
-//! - [`SampledObserver`] — seeded run-level trace sampling
-//!   ([`SamplePolicy`]) with exact kept/dropped accounting;
-//!   [`SamplePolicy::All`] is bit-transparent.
 //! - [`ObsEvent::Context`] correlation stamps (tenant / epoch / shard /
 //!   outer round) let downstream consumers attribute interleaved event
 //!   streams.
@@ -81,7 +78,6 @@ pub mod metrics;
 pub mod observer;
 pub mod profiler;
 pub mod replay;
-pub mod sampling;
 pub mod sink;
 pub mod telemetry;
 pub mod trace;
@@ -95,11 +91,10 @@ pub use observer::{
     FanoutObserver, InferenceObserver, IterationRecord, NodeResidual, NullObserver, ObsEvent,
     RunInfo, RunSummary, SpanKind,
 };
-pub use profiler::{SpanGuard, SpanProfiler, SpanSnapshotRow, Stopwatch};
+pub use profiler::{SpanProfiler, SpanSnapshotRow, Stopwatch};
 pub use replay::{
     analyze_str, parse_json, parse_jsonl, replay, JsonValue, ReplayError, TraceAnalysis,
 };
-pub use sampling::{SamplePolicy, SampledObserver};
 pub use sink::{write_jsonl, JsonlSink, TraceSink, VecSink};
 pub use telemetry::{TelemetryHub, TelemetryServer};
 pub use trace::{RunTrace, TraceObserver};

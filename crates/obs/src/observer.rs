@@ -193,15 +193,6 @@ obs_events! {
         /// fixed-(anchor-)source message.
         stage: &'static str,
     },
-    /// A dedicated evaluation thread pool could not be built; the trials
-    /// fell back to the ambient rayon pool. Previously this fallback was
-    /// silent.
-    ThreadPoolFallback = "thread_pool_fallback" {
-        /// Thread count that was requested.
-        requested: usize,
-        /// The pool-build error, stringified.
-        error: String,
-    },
     /// One or more BP messages were lost to the fault transport this
     /// iteration (aggregated per iteration to keep trace volume sane).
     MessageDropped = "message_dropped" {
@@ -393,10 +384,6 @@ pub(crate) mod tests {
                 edge: 7,
                 stage: "kernel",
             },
-            ObsEvent::ThreadPoolFallback {
-                requested: 3,
-                error: "no threads".to_owned(),
-            },
             ObsEvent::MessageDropped {
                 iteration: 0,
                 count: 3,
@@ -518,7 +505,7 @@ pub(crate) mod tests {
             seed: 1,
         });
         fan.on_iteration(&record(Vec::new()));
-        assert_eq!(a.run_count(), 1);
+        assert_eq!(a.runs().len(), 1);
         assert_eq!(b.last_run().map(|r| r.iterations.len()), Some(1));
 
         let quiet = FanoutObserver::new(vec![&NullObserver, &NullObserver]);

@@ -7,26 +7,19 @@
 //! tier.
 //!
 //! `SpanProfiler` aggregates labelled spans into a tree with self/child
-//! wall-clock attribution. It ingests timings two ways:
-//!
-//! - the generic RAII API ([`SpanProfiler::enter`]) for ad-hoc
-//!   instrumentation — guards nest per thread, so a span entered while
-//!   another is open becomes its child;
-//! - the [`InferenceObserver`] impl, which maps the *fixed* BP phase
-//!   hierarchy (`run` → `model_build`/`prior_init`/`message_passing`/
-//!   `estimate_extract`, with per-iteration updates under
-//!   `message_passing`) onto the same tree. The mapping is structural,
-//!   not stack-based, so replaying a recorded trace produces the same
-//!   tree as the live run that emitted it.
+//! wall-clock attribution. Its [`InferenceObserver`] impl maps the
+//! *fixed* BP phase hierarchy (`run` → `model_build`/`prior_init`/
+//! `message_passing`/`estimate_extract`, with per-iteration updates
+//! under `message_passing`) onto that tree. The mapping is structural,
+//! not stack-based, so replaying a recorded trace produces the same tree
+//! as the live run that emitted it.
 //!
 //! [`SpanProfiler::flame_table`] renders the tree as an indented table
 //! with calls, total seconds, self seconds (total minus attributed
 //! children), and percent of root time.
 
 use crate::observer::{InferenceObserver, IterationRecord, RunInfo, SpanKind};
-use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::thread::ThreadId;
 use std::time::Instant;
 
 /// A started wall-clock timer. The only place the workspace is allowed
@@ -67,8 +60,6 @@ struct SpanNode {
 struct ProfState {
     nodes: Vec<SpanNode>,
     roots: Vec<usize>,
-    /// Open-span stack per thread, for the RAII API.
-    stacks: HashMap<ThreadId, Vec<usize>>,
 }
 
 impl ProfState {
@@ -133,30 +124,6 @@ pub struct SpanProfiler {
     state: Mutex<ProfState>,
 }
 
-/// RAII guard for a span opened with [`SpanProfiler::enter`]; records
-/// the elapsed wall time into the profiler when dropped.
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    profiler: &'a SpanProfiler,
-    node: usize,
-    watch: Stopwatch,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let secs = self.watch.elapsed_secs();
-        let mut st = self.profiler.locked();
-        st.nodes[self.node].total_secs += secs;
-        st.nodes[self.node].calls += 1;
-        let tid = std::thread::current().id();
-        if let Some(stack) = st.stacks.get_mut(&tid) {
-            if stack.last() == Some(&self.node) {
-                stack.pop();
-            }
-        }
-    }
-}
-
 impl SpanProfiler {
     /// A fresh, empty profiler.
     #[must_use]
@@ -166,23 +133,6 @@ impl SpanProfiler {
 
     fn locked(&self) -> MutexGuard<'_, ProfState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Opens a span named `label` under the calling thread's currently
-    /// open span (a root span if none is open). The span closes — and
-    /// its wall time is recorded — when the returned guard drops.
-    pub fn enter(&self, label: &'static str) -> SpanGuard<'_> {
-        let tid = std::thread::current().id();
-        let mut st = self.locked();
-        let parent = st.stacks.get(&tid).and_then(|s| s.last()).copied();
-        let node = st.child(parent, label);
-        st.stacks.entry(tid).or_default().push(node);
-        drop(st);
-        SpanGuard {
-            profiler: self,
-            node,
-            watch: Stopwatch::start(),
-        }
     }
 
     /// Adds `secs` and one call to the node at `path` (root-first),
@@ -214,11 +164,8 @@ impl SpanProfiler {
 
     /// A cheap, consistent snapshot of the span tree: rows in
     /// depth-first, label-sorted order, each with accumulated calls and
-    /// total/self seconds. Safe to call mid-run — open RAII spans are
-    /// untouched (their time lands when the guard drops), per-thread
-    /// stacks are not consulted, and the lock is held only for the copy.
-    /// This is what live endpoints (`/healthz`) export without stopping
-    /// the profiled run.
+    /// total/self seconds. Safe to call mid-run: the lock is held only
+    /// for the copy.
     #[must_use]
     pub fn snapshot(&self) -> Vec<SpanSnapshotRow> {
         let st = self.locked();
@@ -350,25 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn raii_spans_nest_per_thread() {
-        let prof = SpanProfiler::new();
-        {
-            let _outer = prof.enter("outer");
-            {
-                let _inner = prof.enter("inner");
-            }
-            {
-                let _inner = prof.enter("inner");
-            }
-        }
-        let table = prof.flame_table();
-        assert!(table.contains("outer"));
-        assert!(table.contains("  inner"));
-        assert!(prof.total_secs(&["outer", "inner"]).is_some());
-        assert!(prof.total_secs(&["inner"]).is_none(), "inner is not a root");
-    }
-
-    #[test]
     fn observer_callbacks_build_the_fixed_hierarchy() {
         let prof = SpanProfiler::new();
         let info = RunInfo {
@@ -441,29 +369,45 @@ mod tests {
 
     #[test]
     fn snapshot_works_with_spans_still_open() {
+        // A run that has started but not ended: `run` and
+        // `message_passing` are still open while we snapshot.
         let prof = SpanProfiler::new();
-        prof.record_path(&["run", "message_passing"], 0.5);
-        let _open = prof.enter("run"); // still open while we snapshot
+        prof.on_run_start(&RunInfo {
+            backend: "grid",
+            nodes: 3,
+            free: 2,
+            edges: 2,
+            max_iterations: 4,
+            tolerance: 0.0,
+            damping: 0.0,
+            schedule: "synchronous",
+            message_bytes: 8,
+            seed: 1,
+        });
+        prof.on_iteration(&record(0, 0.5));
         let rows = prof.snapshot();
         let run = rows
             .iter()
             .find(|r| r.label == "run" && r.depth == 0)
             .expect("run row present");
-        // The open span has contributed no time yet; the recorded child
-        // drives the display total.
+        // The open run has no seconds of its own yet; the recorded
+        // iteration drives the display total.
         assert!((run.total_secs - 0.5).abs() < 1e-12);
-        let mp = rows
+        let iter = rows
             .iter()
-            .find(|r| r.label == "message_passing")
-            .expect("child row present");
-        assert_eq!(mp.depth, 1);
-        assert_eq!(mp.calls, 1);
-        // Snapshot did not close the open span: dropping the guard still
-        // records its call afterwards.
-        drop(_open);
+            .find(|r| r.label == "iteration")
+            .expect("iteration row present");
+        assert_eq!(iter.depth, 2);
+        assert_eq!(iter.calls, 1);
+        // The snapshot did not freeze the tree: later callbacks still land.
+        prof.on_iteration(&record(1, 0.25));
         let after = prof.snapshot();
-        let run_after = after.iter().find(|r| r.label == "run").expect("run row");
-        assert_eq!(run_after.calls, 1, "the guard drop recorded one call");
+        let iter_after = after
+            .iter()
+            .find(|r| r.label == "iteration")
+            .expect("iteration row");
+        assert_eq!(iter_after.calls, 2);
+        assert!((after[0].total_secs - 0.75).abs() < 1e-12);
     }
 
     #[test]

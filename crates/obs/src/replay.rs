@@ -718,11 +718,16 @@ mod tests {
         let parsed = parse_jsonl(&text).expect("parse back");
         assert_eq!(parsed, runs);
 
-        // Traces recorded with an older schema still replay: an event
-        // type this build no longer knows is skipped.
-        let legacy = r#"{"type":"event","event":"discrete_query","method":"enumeration","variables":2,"samples":0}"#;
+        // Traces recorded with an older schema still replay: event types
+        // this build no longer knows are skipped.
+        let legacy = [
+            r#"{"type":"event","event":"discrete_query","method":"enumeration","variables":2,"samples":0}"#,
+            r#"{"type":"event","event":"thread_pool_fallback","requested":3,"error":"no threads"}"#,
+        ];
         let mut lines = sink.lines.clone();
-        lines.insert(1, legacy.to_owned());
+        for line in legacy {
+            lines.insert(1, line.to_owned());
+        }
         let parsed = parse_jsonl(&lines.join("\n")).expect("parse legacy trace");
         assert_eq!(parsed, runs);
     }

@@ -17,7 +17,6 @@
 //! {"type":"span","span":"model_build|prior_init|message_passing|estimate_extract","secs":..}
 //! {"type":"event","event":"map_fallback_to_mmse","backend":..}
 //! {"type":"event","event":"grid_uniform_fallback","edge":..,"stage":"kernel|point"}
-//! {"type":"event","event":"thread_pool_fallback","requested":..,"error":..}
 //! {"type":"event","event":"message_dropped","iteration":..,"count":..}
 //! {"type":"event","event":"node_died","iteration":..,"node":..}
 //! {"type":"event","event":"stale_message_used","iteration":..,"count":..}
@@ -335,16 +334,10 @@ mod tests {
     #[test]
     fn serializes_fallback_events() {
         let mut run = sample_run();
-        run.events = vec![
-            ObsEvent::GridUniformFallback {
-                edge: 7,
-                stage: "kernel",
-            },
-            ObsEvent::ThreadPoolFallback {
-                requested: 8,
-                error: "no threads".to_owned(),
-            },
-        ];
+        run.events = vec![ObsEvent::GridUniformFallback {
+            edge: 7,
+            stage: "kernel",
+        }];
         let mut sink = VecSink::new();
         write_jsonl(&[run], &mut sink).unwrap();
         assert!(sink
@@ -353,12 +346,6 @@ mod tests {
             .any(|l| l.contains("\"event\":\"grid_uniform_fallback\"")
                 && l.contains("\"edge\":7")
                 && l.contains("\"stage\":\"kernel\"")));
-        assert!(sink
-            .lines
-            .iter()
-            .any(|l| l.contains("\"event\":\"thread_pool_fallback\"")
-                && l.contains("\"requested\":8")
-                && l.contains("\"error\":\"no threads\"")));
     }
 
     /// Exact bytes of every record type and every event, as written
@@ -377,7 +364,6 @@ mod tests {
             r#"{"type":"span","span":"message_passing","secs":0.002}"#,
             r#"{"type":"event","event":"map_fallback_to_mmse","backend":"particle"}"#,
             r#"{"type":"event","event":"grid_uniform_fallback","edge":7,"stage":"kernel"}"#,
-            r#"{"type":"event","event":"thread_pool_fallback","requested":3,"error":"no threads"}"#,
             r#"{"type":"event","event":"message_dropped","iteration":0,"count":3}"#,
             r#"{"type":"event","event":"node_died","iteration":2,"node":5}"#,
             r#"{"type":"event","event":"stale_message_used","iteration":1,"count":4}"#,

@@ -8,7 +8,7 @@
 //! | route      | content                                             |
 //! |------------|-----------------------------------------------------|
 //! | `/metrics` | OpenMetrics text: [`MetricsRegistry`] totals plus [`WindowedMetrics`] windowed series, one `# EOF` |
-//! | `/healthz` | JSON liveness: tick count, seconds since last tick, optional [`SpanProfiler`] snapshot rows |
+//! | `/healthz` | JSON liveness: tick count, seconds since last tick   |
 //! | `/tenants` | JSON rollup the engine publishes per tick           |
 //!
 //! The server is deliberately primitive: blocking accept loop on one
@@ -19,15 +19,14 @@
 //! and be joined — no socket leaks, no detached threads at drop.
 //!
 //! The [`TelemetryHub`] is the engine-facing half: a cheaply clonable
-//! bundle of registry + window + optional profiler that the engine
-//! updates ([`TelemetryHub::note_tick`],
-//! [`TelemetryHub::set_tenants_json`]) and the server reads. Engines
+//! bundle of registry + window that the engine updates
+//! ([`TelemetryHub::note_tick`], [`TelemetryHub::set_tenants_json`])
+//! and the server reads. Engines
 //! own a hub whether or not a server is attached, so instrumentation
 //! cost does not depend on whether anyone is scraping.
 
 use crate::metrics::MetricsRegistry;
-use crate::profiler::{SpanProfiler, Stopwatch};
-use crate::sink::push_json_str;
+use crate::profiler::Stopwatch;
 use crate::window::WindowedMetrics;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -51,30 +50,20 @@ struct HubState {
 pub struct TelemetryHub {
     registry: Arc<MetricsRegistry>,
     window: Arc<WindowedMetrics>,
-    profiler: Option<Arc<SpanProfiler>>,
     ticks: Arc<AtomicU64>,
     state: Arc<Mutex<HubState>>,
 }
 
 impl TelemetryHub {
-    /// A hub over the given registry and window, with no profiler.
+    /// A hub over the given registry and window.
     #[must_use]
     pub fn new(registry: Arc<MetricsRegistry>, window: Arc<WindowedMetrics>) -> Self {
         TelemetryHub {
             registry,
             window,
-            profiler: None,
             ticks: Arc::new(AtomicU64::new(0)),
             state: Arc::new(Mutex::new(HubState::default())),
         }
-    }
-
-    /// Attaches a span profiler whose [`SpanProfiler::snapshot`] rows
-    /// are embedded in `/healthz` (taken mid-run, never stopping spans).
-    #[must_use]
-    pub fn with_profiler(mut self, profiler: Arc<SpanProfiler>) -> Self {
-        self.profiler = Some(profiler);
-        self
     }
 
     fn locked(&self) -> MutexGuard<'_, HubState> {
@@ -151,24 +140,6 @@ impl TelemetryHub {
             }
             None => out.push_str(",\"last_tick_age_secs\":null"),
         }
-        if let Some(prof) = &self.profiler {
-            out.push_str(",\"spans\":[");
-            for (i, row) in prof.snapshot().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"label\":{},\"depth\":{},\"calls\":{},\"total_secs\":{},\"self_secs\":{}}}",
-                    json_str(row.label),
-                    row.depth,
-                    row.calls,
-                    row.total_secs,
-                    row.self_secs
-                );
-            }
-            out.push(']');
-        }
         out.push('}');
         out
     }
@@ -183,12 +154,6 @@ impl TelemetryHub {
             st.tenants_json.clone()
         }
     }
-}
-
-fn json_str(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 2);
-    push_json_str(&mut out, raw);
-    out
 }
 
 /// The blocking scrape server (see module docs for routes). Bind with
@@ -349,20 +314,28 @@ mod tests {
     }
 
     #[test]
-    fn healthz_reports_tick_age_and_spans() {
-        let prof = Arc::new(SpanProfiler::new());
-        prof.record_path(&["run"], 0.125);
-        let h = hub().with_profiler(Arc::clone(&prof));
+    fn healthz_reports_tick_age() {
+        let h = hub();
         let mut server = TelemetryServer::start("127.0.0.1:0", h.clone()).expect("bind");
-        let before = get(server.local_addr(), "/healthz");
-        assert!(before.contains("\"ok\":false"));
-        assert!(before.contains("\"last_tick_age_secs\":null"));
+        let body = |resp: &str| {
+            resp.split_once("\r\n\r\n")
+                .expect("response body")
+                .1
+                .to_owned()
+        };
+        let before = body(&get(server.local_addr(), "/healthz"));
+        assert_eq!(
+            before,
+            r#"{"ok":false,"ticks":0,"last_tick_age_secs":null}"#
+        );
         h.note_tick();
-        let after = get(server.local_addr(), "/healthz");
-        assert!(after.contains("\"ok\":true"));
-        assert!(after.contains("\"ticks\":1"));
-        assert!(after.contains("\"last_tick_age_secs\":"));
-        assert!(after.contains("\"label\":\"run\""));
+        let after = body(&get(server.local_addr(), "/healthz"));
+        let age = after
+            .strip_prefix(r#"{"ok":true,"ticks":1,"last_tick_age_secs":"#)
+            .and_then(|rest| rest.strip_suffix('}'))
+            .unwrap_or_else(|| panic!("unexpected /healthz body {after}"));
+        let age: f64 = age.parse().expect("age is a number");
+        assert!(age >= 0.0);
         server.shutdown();
     }
 

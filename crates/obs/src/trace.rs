@@ -21,17 +21,6 @@ pub struct RunTrace {
     pub summary: Option<RunSummary>,
 }
 
-impl RunTrace {
-    /// Per-iteration max residuals — the convergence curve most analyses
-    /// want. `NaN`-free by construction when residuals were recorded.
-    pub fn residual_curve(&self) -> Vec<f64> {
-        self.iterations
-            .iter()
-            .filter_map(IterationRecord::max_residual)
-            .collect()
-    }
-}
-
 /// An [`InferenceObserver`] that records every callback into [`RunTrace`]s.
 ///
 /// Interior mutability behind a mutex lets the synchronous-schedule rayon
@@ -72,11 +61,6 @@ impl TraceObserver {
     /// The most recently started run, if any.
     pub fn last_run(&self) -> Option<RunTrace> {
         self.locked().last().cloned()
-    }
-
-    /// Number of recorded runs.
-    pub fn run_count(&self) -> usize {
-        self.locked().len()
     }
 }
 
@@ -184,7 +168,12 @@ mod tests {
         assert_eq!(runs.len(), 1);
         let run = &runs[0];
         assert_eq!(run.iterations.len(), 2);
-        assert_eq!(run.residual_curve(), vec![3.0, 1.0]);
+        let curve: Vec<f64> = run
+            .iterations
+            .iter()
+            .filter_map(IterationRecord::max_residual)
+            .collect();
+        assert_eq!(curve, vec![3.0, 1.0]);
         assert_eq!(run.spans, vec![(SpanKind::PriorInit, 0.01)]);
         assert_eq!(run.events.len(), 1);
         assert_eq!(run.summary.map(|s| s.converged), Some(true));
@@ -197,11 +186,11 @@ mod tests {
         obs.on_iteration(&iteration(0, 2.0));
         obs.on_run_start(&info());
         obs.on_iteration(&iteration(0, 5.0));
-        assert_eq!(obs.run_count(), 2);
+        assert_eq!(obs.runs().len(), 2);
         let runs = obs.take_runs();
         assert_eq!(runs[0].iterations.len(), 1);
-        assert_eq!(runs[1].residual_curve(), vec![5.0]);
-        assert_eq!(obs.run_count(), 0);
+        assert_eq!(runs[1].iterations[0].max_residual(), Some(5.0));
+        assert!(obs.runs().is_empty());
     }
 
     #[test]
@@ -209,7 +198,7 @@ mod tests {
         let obs = TraceObserver::new();
         obs.on_iteration(&iteration(0, 1.0));
         obs.on_span(SpanKind::ModelBuild, 0.1);
-        assert_eq!(obs.run_count(), 0);
+        assert!(obs.runs().is_empty());
     }
 
     #[test]

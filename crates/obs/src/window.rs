@@ -6,10 +6,10 @@
 //! asked. [`WindowedMetrics`] layers fixed-slot ring buffers on top:
 //! every series keeps the last `slots` slots of data, the engine calls
 //! [`WindowedMetrics::advance`] once per scheduler tick to rotate the
-//! ring, and queries ([`window_total`](WindowedMetrics::window_total),
-//! [`window_rate`](WindowedMetrics::window_rate),
-//! [`window_quantile`](WindowedMetrics::window_quantile)) see only the
-//! window.
+//! ring, and readers ([`window_total`](WindowedMetrics::window_total)
+//! and the OpenMetrics rendering
+//! [`render_openmetrics_into`](WindowedMetrics::render_openmetrics_into))
+//! see only the window.
 //!
 //! Series are keyed by a family name plus a sorted label set (tenant
 //! and shard ids in practice), and come in three kinds, chosen by the
@@ -55,8 +55,6 @@ enum SeriesData {
 struct WinState {
     /// Current ring position every write lands in.
     head: usize,
-    /// Total [`WindowedMetrics::advance`] calls, for fill accounting.
-    advances: u64,
     series: BTreeMap<SeriesKey, SeriesData>,
 }
 
@@ -146,7 +144,6 @@ impl WindowedMetrics {
     /// becomes the new current slot. Engines call this once per tick.
     pub fn advance(&self) {
         let mut st = self.locked();
-        st.advances += 1;
         st.head = (st.head + 1) % self.slots;
         let head = st.head;
         for data in st.series.values_mut() {
@@ -158,14 +155,6 @@ impl WindowedMetrics {
         }
     }
 
-    /// Slots currently carrying data: the window is partially filled
-    /// until `slots - 1` advances have happened.
-    #[must_use]
-    pub fn filled_slots(&self) -> usize {
-        let st = self.locked();
-        ((st.advances + 1).min(self.slots as u64)) as usize
-    }
-
     /// Windowed total of a rate series, or `None` if the series does
     /// not exist (or is not a rate).
     #[must_use]
@@ -173,43 +162,6 @@ impl WindowedMetrics {
         let st = self.locked();
         match st.series.get(&Self::key(name, labels)) {
             Some(SeriesData::Rate(ring)) => Some(ring.iter().sum()),
-            _ => None,
-        }
-    }
-
-    /// Windowed per-slot rate of a rate series: total over the window
-    /// divided by the filled slot count.
-    #[must_use]
-    pub fn window_rate(&self, name: &str, labels: &[(&str, String)]) -> Option<f64> {
-        let total = self.window_total(name, labels)?;
-        Some(total as f64 / self.filled_slots() as f64)
-    }
-
-    /// Nearest-rank quantile `q` in `[0, 1]` over every sample in the
-    /// window of a pool series.
-    #[must_use]
-    pub fn window_quantile(&self, name: &str, labels: &[(&str, String)], q: f64) -> Option<f64> {
-        let st = self.locked();
-        let Some(SeriesData::Pool(ring)) = st.series.get(&Self::key(name, labels)) else {
-            return None;
-        };
-        let mut pool: Vec<f64> = ring.iter().flatten().copied().collect();
-        drop(st);
-        if pool.is_empty() {
-            return None;
-        }
-        pool.sort_by(f64::total_cmp);
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * pool.len() as f64).ceil() as usize).clamp(1, pool.len());
-        Some(pool[rank - 1])
-    }
-
-    /// Last value of a gauge series.
-    #[must_use]
-    pub fn gauge_value(&self, name: &str, labels: &[(&str, String)]) -> Option<f64> {
-        let st = self.locked();
-        match st.series.get(&Self::key(name, labels)) {
-            Some(SeriesData::Gauge(v)) => Some(*v),
             _ => None,
         }
     }
@@ -357,6 +309,12 @@ mod tests {
         vec![("tenant", t.to_string())]
     }
 
+    fn render(w: &WindowedMetrics) -> String {
+        let mut out = String::new();
+        w.render_openmetrics_into(&mut out);
+        out
+    }
+
     #[test]
     fn rates_retire_with_the_window() {
         let w = WindowedMetrics::new(3);
@@ -395,17 +353,25 @@ mod tests {
         for v in [0.3, 0.4] {
             w.observe("wsnloc_window_tick_seconds", &[], v);
         }
-        let p50 = w
-            .window_quantile("wsnloc_window_tick_seconds", &[], 0.5)
-            .expect("samples present");
-        assert!((p50 - 0.2).abs() < 1e-12);
-        let p99 = w
-            .window_quantile("wsnloc_window_tick_seconds", &[], 0.99)
-            .expect("samples present");
-        assert!((p99 - 0.4).abs() < 1e-12);
-        assert_eq!(w.filled_slots(), 2);
-        let rate = w.window_rate("wsnloc_window_tick_seconds", &[]);
-        assert!(rate.is_none(), "pools have no rate");
+        // Ceil-rank quantiles over both slots: rank ceil(0.5·4) = 2 and
+        // ceil(0.99·4) = 4 of the sorted pool.
+        let out = render(&w);
+        assert!(out.contains("wsnloc_window_tick_seconds{quantile=\"0.5\"} 0.2\n"));
+        assert!(out.contains("wsnloc_window_tick_seconds{quantile=\"0.9\"} 0.4\n"));
+        assert!(out.contains("wsnloc_window_tick_seconds{quantile=\"0.99\"} 0.4\n"));
+        assert!(out.contains("wsnloc_window_tick_seconds_count 4\n"));
+        assert_eq!(
+            w.window_total("wsnloc_window_tick_seconds", &[]),
+            None,
+            "pools have no rate total"
+        );
+        // Three more advances retire the first slot's samples.
+        w.advance();
+        w.advance();
+        w.advance();
+        let out = render(&w);
+        assert!(out.contains("wsnloc_window_tick_seconds{quantile=\"0.5\"} 0.3\n"));
+        assert!(out.contains("wsnloc_window_tick_seconds_count 2\n"));
     }
 
     #[test]
@@ -457,8 +423,7 @@ mod tests {
             7.0,
         );
         w.observe("wsnloc_window_tick_seconds", &[], 0.25);
-        let mut out = String::new();
-        w.render_openmetrics_into(&mut out);
+        let out = render(&w);
         assert!(out.contains("wsnloc_window_epochs_solved{tenant=\"10\"} 4"));
         assert!(out.contains("wsnloc_window_epochs_solved{tenant=\"2\"} 1"));
         // Label values are escaped per OpenMetrics.
@@ -477,9 +442,6 @@ mod tests {
         w.set("wsnloc_window_queue_depth", &tenant(1), 5.0);
         w.advance();
         w.advance();
-        assert_eq!(
-            w.gauge_value("wsnloc_window_queue_depth", &tenant(1)),
-            Some(5.0)
-        );
+        assert!(render(&w).contains("wsnloc_window_queue_depth{tenant=\"1\"} 5\n"));
     }
 }

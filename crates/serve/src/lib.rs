@@ -31,10 +31,9 @@
 //! [`StreamingEngine::builder`] can bind an embedded
 //! [`TelemetryServer`] (`/metrics`, `/healthz`, `/tenants`), join an
 //! external hub shared across engines, and attach an extra
-//! [`InferenceObserver`] (e.g. a
-//! [`SampledObserver`](wsnloc_obs::SampledObserver) in front of a
-//! trace sink) that receives [`ObsEvent::Context`] correlation stamps
-//! (tenant/epoch) ahead of each run's callbacks. Telemetry never
+//! [`InferenceObserver`] (e.g. a trace sink) that receives
+//! [`ObsEvent::Context`] correlation stamps (tenant/epoch) ahead of
+//! each run's callbacks. Telemetry never
 //! touches the solve path: updates are bit-identical with the server
 //! on, off, or absent (pinned by tests).
 //!
@@ -224,7 +223,7 @@ pub struct StreamingEngine {
     /// Embedded scrape server, when the builder bound one.
     server: Option<TelemetryServer>,
     /// Extra observer fanned into every solve (correlation stamps,
-    /// sampled tracing). `None` keeps the pre-telemetry solve wiring.
+    /// tracing). `None` keeps the pre-telemetry solve wiring.
     observer: Option<Arc<dyn InferenceObserver + Send + Sync>>,
 }
 
@@ -306,9 +305,7 @@ impl EngineBuilder {
     /// each run's callbacks and a stamp + [`ObsEvent::TenantShed`] for
     /// shed epochs. With `capacity_per_tick > 1` the admitted batch
     /// solves in parallel, so a *shared* observer sees the tenants'
-    /// streams interleaved — pair it with a
-    /// [`SampledObserver`](wsnloc_obs::SampledObserver) or key off the
-    /// stamps to de-interleave.
+    /// streams interleaved — key off the stamps to de-interleave.
     #[must_use]
     pub fn observer(mut self, observer: Arc<dyn InferenceObserver + Send + Sync>) -> Self {
         self.observer = Some(observer);

@@ -6,10 +6,7 @@
 use std::sync::Mutex;
 use wsnloc::prelude::*;
 use wsnloc_eval::{evaluate, EvalConfig, Parallelism};
-use wsnloc_obs::{
-    accounting, analyze_str, parse_jsonl, replay, write_jsonl, ObsEvent, SamplePolicy,
-    SampledObserver, VecSink,
-};
+use wsnloc_obs::{accounting, analyze_str, parse_jsonl, write_jsonl, ObsEvent, VecSink};
 
 /// The accounting counters are process-wide, so every test that runs
 /// inference (bumping them) or asserts on them takes this lock first.
@@ -294,99 +291,6 @@ fn evaluate_traces_serialize_to_replayable_jsonl() {
             "unbalanced braces in {line}"
         );
     }
-}
-
-#[test]
-fn sample_policy_all_reproduces_trace_jsonl_byte_for_byte() {
-    let _guard = SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // The transparency criterion of the sampling tier: a SamplePolicy::All
-    // gate between the engine and the trace recorder changes nothing in
-    // the serialized trace.jsonl, down to the last byte. Byte-for-byte
-    // comparison requires the gate to see the *same* callback stream the
-    // recording did (live re-runs differ in wall-clock fields), so the
-    // recorded runs are replayed through the gate.
-    let (net, _) = scenario().build_trial(4);
-    let recorder = TraceObserver::new();
-    for seed in 0..3u64 {
-        let _ = algo().localize_with_observer(&net, seed, &recorder);
-    }
-    let runs = recorder.take_runs();
-    let mut original = VecSink::new();
-    write_jsonl(&runs, &mut original).expect("in-memory sink");
-
-    let gated_inner = TraceObserver::new();
-    let gated = SampledObserver::new(&gated_inner, SamplePolicy::All, 0xA11);
-    replay(&runs, &gated);
-    assert_eq!(gated.kept_runs(), 3);
-    assert_eq!(gated.dropped_events(), 0);
-
-    let mut gated_sink = VecSink::new();
-    write_jsonl(&gated_inner.take_runs(), &mut gated_sink).expect("in-memory sink");
-    assert_eq!(
-        original.lines, gated_sink.lines,
-        "SamplePolicy::All must be byte-transparent"
-    );
-}
-
-#[test]
-fn hash_ratio_sampling_is_bit_identical_across_pool_sizes() {
-    let _guard = SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // The sampling decision is a pure function of (run seed, sampler
-    // seed), so which runs survive — and everything deterministic in
-    // their traces — must not depend on the rayon pool size the solves
-    // ran under. Wall-clock fields (`secs`) are the one sanctioned
-    // difference, so the fingerprint covers everything but timing.
-    let (net, _) = scenario().build_trial(5);
-    let fingerprint = |runs: &[wsnloc_obs::RunTrace]| -> Vec<u64> {
-        let mut fp = Vec::new();
-        for run in runs {
-            fp.push(run.info.seed);
-            fp.push(run.iterations.len() as u64);
-            for it in &run.iterations {
-                fp.push(it.iteration as u64);
-                fp.push(it.max_shift.to_bits());
-                fp.push(it.comm.messages);
-                for r in &it.residuals {
-                    fp.push(r.node as u64);
-                    fp.push(r.residual.to_bits());
-                }
-            }
-            let summary = run.summary.expect("completed run");
-            fp.push(summary.iterations as u64);
-            fp.push(u64::from(summary.converged));
-        }
-        fp
-    };
-    let sample = |threads: usize| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool")
-            .install(|| {
-                let inner = TraceObserver::new();
-                let sampled = SampledObserver::new(&inner, SamplePolicy::HashRatio(0.5), 0x5EED);
-                for seed in 0..8u64 {
-                    let _ = algo().localize_with_observer(&net, seed, &sampled);
-                }
-                assert_eq!(sampled.kept_runs() + sampled.dropped_runs(), 8);
-                assert!(sampled.dropped_runs() > 0, "p=0.5 over 8 runs drops some");
-                assert!(sampled.kept_runs() > 0, "p=0.5 over 8 runs keeps some");
-                (fingerprint(&inner.take_runs()), sampled.dropped_events())
-            })
-    };
-    let (fp1, dropped1) = sample(1);
-    let (fp2, dropped2) = sample(2);
-    let (fp4, dropped4) = sample(4);
-    assert_eq!(fp1, fp2, "sampled trace differs between 1 and 2 threads");
-    assert_eq!(fp2, fp4, "sampled trace differs between 2 and 4 threads");
-    // Suppressed-callback accounting is thread-count-invariant too: the
-    // synchronous schedule reports the same callbacks regardless of pool.
-    assert_eq!(dropped1, dropped2);
-    assert_eq!(dropped2, dropped4);
 }
 
 #[test]
