@@ -1,4 +1,4 @@
-//! The unified BP-engine abstraction.
+//! The unified BP-engine abstraction and the one BP iteration loop.
 //!
 //! Each backend (grid, particle, Gaussian) implements exactly one
 //! required method, [`BpEngine::run_warm`]: the superset entry point
@@ -10,14 +10,32 @@
 //! start on the perfect transport and return `(beliefs, outcome)`,
 //! without and with a telemetry observer.
 //!
-//! [`Belief`] is the minimal read surface the core localizer needs to
-//! turn a backend's belief into a point estimate without knowing which
-//! backend produced it.
+//! All three backends share one loopy-BP driver, `Driver`. A backend's
+//! `run_warm` opens a driver with `Driver::start`, builds its initial
+//! beliefs and per-node priors, and hands `Driver::run` one per-node
+//! update closure `(iteration, node, &beliefs, session) -> belief` that
+//! also applies the backend's damping and RNG stream. The driver owns
+//! everything else: run telemetry (`RunInfo`, `IterationRecord`,
+//! `RunSummary` and the prior-init / message-passing spans), the
+//! transport session's per-iteration roll and live-node filter, the
+//! synchronous/sweep dispatch, message counting, the per-iteration
+//! distribution audit, residuals and the mean-shift convergence test.
+//! The driver is generic over the belief type, so each backend gets its
+//! own monomorphised loop with no dynamic dispatch per node.
+//!
+//! [`Belief`] is the read surface the driver and the core localizer need
+//! without knowing which backend produced a belief: point estimates,
+//! spread, the per-node residual and the distribution audit.
 
-use crate::mrf::{BpOptions, BpOutcome, SpatialMrf};
-use crate::transport::Transport;
+use crate::mrf::{BpOptions, BpOutcome, Schedule, SpatialMrf};
+use crate::transport::{Transport, TransportSession};
+use crate::validate::{self, DistributionAudit, GraphAudit, ValidationError};
+use rayon::prelude::*;
 use wsnloc_geom::Vec2;
-use wsnloc_obs::{InferenceObserver, NullObserver};
+use wsnloc_obs::{
+    CommStats, InferenceObserver, IterationRecord, NodeResidual, NullObserver, RunInfo, RunSummary,
+    SpanKind, Stopwatch,
+};
 
 /// Backend-agnostic read access to a posterior position belief.
 pub trait Belief {
@@ -33,6 +51,26 @@ pub trait Belief {
 
     /// MAP point estimate, for representations that support one.
     fn map_estimate(&self) -> Option<Vec2>;
+
+    /// Whether [`Belief::residual`] compares whole distributions. When it
+    /// does (grid beliefs), the BP driver copies each free node's belief
+    /// before every iteration, and only while the observer wants
+    /// residuals.
+    const DISTRIBUTION_RESIDUAL: bool = false;
+
+    /// One node's residual across an iteration as `(residual, kl)`:
+    /// `prev_mean` is the node's mean before the iteration and `prev` its
+    /// whole previous belief, supplied iff
+    /// [`Belief::DISTRIBUTION_RESIDUAL`]. The default is the mean
+    /// displacement in meters, with no KL divergence.
+    fn residual(&self, prev_mean: Vec2, _prev: Option<&Self>) -> (f64, Option<f64>) {
+        (self.mean().dist(prev_mean), None)
+    }
+
+    /// Checks that this belief is a well-formed distribution; the BP
+    /// driver runs it on every belief after every iteration in audited
+    /// builds.
+    fn audit(&self, audit: &DistributionAudit, context: &str) -> Result<(), ValidationError>;
 }
 
 /// Everything one BP run produced.
@@ -165,5 +203,236 @@ pub trait BpEngine {
             |_, _| {},
         );
         (out.beliefs, out.bp)
+    }
+}
+
+/// The telemetry header of one run.
+pub(crate) fn run_info(
+    backend: &'static str,
+    mrf: &SpatialMrf,
+    free: usize,
+    opts: &BpOptions,
+) -> RunInfo {
+    RunInfo {
+        backend,
+        nodes: mrf.len(),
+        free,
+        edges: mrf.edges().len(),
+        max_iterations: opts.max_iterations,
+        tolerance: opts.tolerance,
+        damping: opts.damping,
+        schedule: opts.schedule.name(),
+        message_bytes: opts.message_bytes,
+        seed: opts.seed,
+    }
+}
+
+/// The telemetry record of one iteration (or one sharded outer round)
+/// that sent `messages` belief broadcasts.
+pub(crate) fn iteration_record(
+    iteration: usize,
+    max_shift: f64,
+    messages: u64,
+    opts: &BpOptions,
+    secs: f64,
+    residuals: Vec<NodeResidual>,
+) -> IterationRecord {
+    IterationRecord {
+        iteration,
+        max_shift,
+        comm: CommStats {
+            messages,
+            bytes: messages * opts.message_bytes,
+        },
+        damping: opts.damping,
+        schedule: opts.schedule.name(),
+        secs,
+        residuals,
+    }
+}
+
+/// The telemetry summary of a finished run.
+pub(crate) fn run_summary(outcome: &BpOutcome, opts: &BpOptions) -> RunSummary {
+    RunSummary {
+        iterations: outcome.iterations,
+        converged: outcome.converged,
+        comm: CommStats {
+            messages: outcome.messages,
+            bytes: outcome.messages * opts.message_bytes,
+        },
+    }
+}
+
+/// The one loopy-BP iteration loop, shared by every flat backend.
+///
+/// [`Driver::start`] opens the run; the backend then builds its initial
+/// beliefs and per-node priors (timed as the prior-init span) and passes
+/// them to [`Driver::run`] with its per-node update.
+pub(crate) struct Driver<'a, B> {
+    backend: &'static str,
+    opts: &'a BpOptions,
+    obs: &'a dyn InferenceObserver,
+    /// Fault state for this run; `None` on the perfect transport, which
+    /// compiles every session touchpoint down to the fault-free path.
+    session: Option<TransportSession<B>>,
+    free: Vec<usize>,
+    wants_residuals: bool,
+    init_start: Stopwatch,
+}
+
+impl<'a, B> Driver<'a, B>
+where
+    B: Belief + Clone + Send + Sync,
+{
+    /// Opens a run: audits the graph, reports the run header, builds the
+    /// transport session and starts the prior-init span.
+    pub(crate) fn start(
+        backend: &'static str,
+        mrf: &SpatialMrf,
+        opts: &'a BpOptions,
+        transport: &Transport,
+        obs: &'a dyn InferenceObserver,
+    ) -> Self {
+        validate::enforce(backend, || GraphAudit.check_mrf(mrf));
+        let free = mrf.free_vars();
+        obs.on_run_start(&run_info(backend, mrf, free.len(), opts));
+        let wants_residuals = obs.wants_residuals();
+        let session = transport.session::<B>(mrf, opts.seed);
+        Driver {
+            backend,
+            opts,
+            obs,
+            session,
+            free,
+            wants_residuals,
+            init_start: Stopwatch::start(),
+        }
+    }
+
+    /// Runs BP from `beliefs` (one per MRF variable) to convergence or
+    /// `opts.max_iterations`. Each iteration replaces every live free
+    /// node's belief with `update(iteration, node, &beliefs, session)`:
+    /// all from the same snapshot under the synchronous schedule, in
+    /// node order under the sweep schedule. `pre_messages` seeds the
+    /// broadcast count; `on_iter(iteration, beliefs)` runs after every
+    /// iteration.
+    pub(crate) fn run<U, F>(
+        self,
+        mut beliefs: Vec<B>,
+        pre_messages: u64,
+        update: U,
+        mut on_iter: F,
+    ) -> RunOutcome<B>
+    where
+        U: Fn(usize, usize, &[B], Option<&TransportSession<B>>) -> B + Sync,
+        F: FnMut(usize, &[B]),
+    {
+        let Driver {
+            backend,
+            opts,
+            obs,
+            mut session,
+            free,
+            wants_residuals,
+            init_start,
+        } = self;
+        obs.on_span(SpanKind::PriorInit, init_start.elapsed_secs());
+        let mut outcome = BpOutcome {
+            iterations: 0,
+            converged: false,
+            messages: pre_messages,
+        };
+
+        let loop_start = Stopwatch::start();
+        for iter in 0..opts.max_iterations {
+            let iter_start = Stopwatch::start();
+            // Roll this iteration's link fates and deaths (sequentially,
+            // before the parallel updates); dead nodes stop updating.
+            if let Some(s) = session.as_mut() {
+                s.begin_iteration(iter, &beliefs, obs);
+            }
+            let active_owned: Option<Vec<usize>> = session
+                .as_ref()
+                .map(|s| free.iter().copied().filter(|&u| s.node_alive(u)).collect());
+            let active: &[usize] = active_owned.as_deref().unwrap_or(&free);
+            let prev_means: Vec<Vec2> = free.iter().map(|&u| beliefs[u].mean()).collect();
+            // Residuals are computed only when the observer asks — the
+            // zero-cost contract — and whole previous beliefs are kept
+            // only for representations whose residual compares them.
+            if wants_residuals {
+                wsnloc_obs::accounting::note_residual_buffer();
+            }
+            let prev_beliefs: Option<Vec<B>> = (wants_residuals && B::DISTRIBUTION_RESIDUAL)
+                .then(|| free.iter().map(|&u| beliefs[u].clone()).collect());
+
+            let session_ref = session.as_ref();
+            match opts.schedule {
+                Schedule::Synchronous => {
+                    let new: Vec<(usize, B)> = active
+                        .par_iter()
+                        .map(|&u| (u, update(iter, u, &beliefs, session_ref)))
+                        .collect();
+                    for (u, b) in new {
+                        beliefs[u] = b;
+                    }
+                }
+                Schedule::Sweep => {
+                    for &u in active {
+                        beliefs[u] = update(iter, u, &beliefs, session_ref);
+                    }
+                }
+            }
+
+            outcome.iterations = iter + 1;
+            outcome.messages += active.len() as u64;
+            validate::enforce(backend, || {
+                let audit = DistributionAudit::default();
+                for (u, b) in beliefs.iter().enumerate() {
+                    b.audit(&audit, &format!("belief[{u}] at iteration {iter}"))?;
+                }
+                Ok(())
+            });
+            on_iter(iter, &beliefs);
+
+            let max_shift = free
+                .iter()
+                .zip(&prev_means)
+                .map(|(&u, &prev)| beliefs[u].mean().dist(prev))
+                .fold(0.0, f64::max);
+            let residuals: Vec<NodeResidual> = if wants_residuals {
+                free.iter()
+                    .enumerate()
+                    .map(|(i, &u)| {
+                        let prev = prev_beliefs.as_ref().map(|p| &p[i]);
+                        let (residual, kl) = beliefs[u].residual(prev_means[i], prev);
+                        NodeResidual {
+                            node: u,
+                            residual,
+                            kl,
+                        }
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            obs.on_iteration(&iteration_record(
+                iter,
+                max_shift,
+                active.len() as u64,
+                opts,
+                iter_start.elapsed_secs(),
+                residuals,
+            ));
+            if max_shift < opts.tolerance {
+                outcome.converged = true;
+                break;
+            }
+        }
+        obs.on_span(SpanKind::MessagePassing, loop_start.elapsed_secs());
+        obs.on_run_end(&run_summary(&outcome, opts));
+        RunOutcome {
+            beliefs,
+            bp: outcome,
+        }
     }
 }

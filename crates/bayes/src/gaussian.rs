@@ -21,17 +21,13 @@
 //! `s² = σ_d² + gᵀΣᵥg` the measurement variance inflated by the neighbor's
 //! own positional uncertainty along the line of sight.
 
-use crate::engine::{BpEngine, RunOutcome, WarmStart};
-use crate::mrf::{BpOptions, BpOutcome, Schedule, SpatialMrf};
-use crate::transport::{Transport, TransportSession, Verdict};
-use crate::validate::{self, DistributionAudit, GraphAudit};
-use rayon::prelude::*;
+use crate::engine::{BpEngine, Driver, RunOutcome, WarmStart};
+use crate::mrf::{BpOptions, SpatialMrf};
+use crate::transport::{Transport, TransportSession};
+use crate::validate::{DistributionAudit, ValidationError};
 use wsnloc_geom::rng::Xoshiro256pp;
 use wsnloc_geom::Vec2;
-use wsnloc_obs::Stopwatch;
-use wsnloc_obs::{
-    CommStats, InferenceObserver, IterationRecord, NodeResidual, RunInfo, RunSummary, SpanKind,
-};
+use wsnloc_obs::InferenceObserver;
 
 /// A 2-D Gaussian belief: mean and covariance (row-major 2×2, symmetric).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,6 +80,10 @@ impl crate::engine::Belief for GaussianBelief {
     fn map_estimate(&self) -> Option<Vec2> {
         None
     }
+
+    fn audit(&self, audit: &DistributionAudit, context: &str) -> Result<(), ValidationError> {
+        audit.check_gaussian(context, self)
+    }
 }
 
 /// 2×2 symmetric inverse; `None` when singular.
@@ -95,20 +95,14 @@ fn inv2(m: [f64; 4]) -> Option<[f64; 4]> {
     Some([m[3] / det, -m[1] / det, -m[2] / det, m[0] / det])
 }
 
-/// Gaussian-belief loopy BP engine.
-#[derive(Debug, Clone, Copy)]
-pub struct GaussianBp {
-    /// Magnitude (meters) of the deterministic per-node jitter applied to
-    /// initial means, breaking the gradient singularity of coincident
-    /// initializations.
-    pub init_jitter: f64,
-}
+/// Magnitude (meters) of the deterministic per-node jitter applied to
+/// cold initial means, breaking the gradient singularity of coincident
+/// initializations.
+const INIT_JITTER: f64 = 1.0;
 
-impl Default for GaussianBp {
-    fn default() -> Self {
-        GaussianBp { init_jitter: 1.0 }
-    }
-}
+/// Gaussian-belief loopy BP engine.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GaussianBp;
 
 impl BpEngine for GaussianBp {
     type Belief = GaussianBelief;
@@ -136,32 +130,14 @@ impl BpEngine for GaussianBp {
         transport: &Transport,
         warm: WarmStart<'_, GaussianBelief>,
         obs: &dyn InferenceObserver,
-        mut on_iter: F,
+        on_iter: F,
     ) -> RunOutcome<GaussianBelief>
     where
         F: FnMut(usize, &[GaussianBelief]),
     {
-        validate::enforce("GaussianBp::run", || GraphAudit.check_mrf(mrf));
-        let domain = mrf.domain();
-        let default_sigma = domain.diagonal() / 2.0;
+        let driver = Driver::start("gaussian", mrf, opts, transport, obs);
+        let default_sigma = mrf.domain().diagonal() / 2.0;
         let root = Xoshiro256pp::seed_from(opts.seed);
-        let free_ids = mrf.free_vars();
-        obs.on_run_start(&RunInfo {
-            backend: "gaussian",
-            nodes: mrf.len(),
-            free: free_ids.len(),
-            edges: mrf.edges().len(),
-            max_iterations: opts.max_iterations,
-            tolerance: opts.tolerance,
-            damping: opts.damping,
-            schedule: opts.schedule.name(),
-            message_bytes: opts.message_bytes,
-            seed: opts.seed,
-        });
-        let wants_residuals = obs.wants_residuals();
-        // Fault state for this run; `None` on the perfect transport.
-        let mut session = transport.session::<GaussianBelief>(mrf, opts.seed);
-        let init_start = Stopwatch::start();
 
         // Prior moments per node: sample the unary to estimate mean/variance
         // (exact for Gaussian priors up to Monte-Carlo noise; a reasonable
@@ -187,7 +163,7 @@ impl BpEngine for GaussianBp {
             })
             .collect();
 
-        let mut beliefs: Vec<GaussianBelief> = priors
+        let beliefs: Vec<GaussianBelief> = priors
             .iter()
             .enumerate()
             .map(|(u, p)| match (mrf.fixed(u), warm.state) {
@@ -200,199 +176,79 @@ impl BpEngine for GaussianBp {
                     // point, not a coincident initialization.
                     if fixed.is_none() && warm.prior.is_none() {
                         let mut rng = root.split(0x11773 ^ u as u64);
-                        b.mean += Vec2::new(rng.gaussian(), rng.gaussian()) * self.init_jitter;
+                        b.mean += Vec2::new(rng.gaussian(), rng.gaussian()) * INIT_JITTER;
                     }
                     b
                 }
             })
             .collect();
-        obs.on_span(SpanKind::PriorInit, init_start.elapsed_secs());
 
-        let free = free_ids;
-        let mut outcome = BpOutcome {
-            iterations: 0,
-            converged: false,
-            messages: 0,
+        let update = |_iter: usize, u: usize, beliefs: &[GaussianBelief], session: Option<&_>| {
+            let mut b = update_node(mrf, u, &priors[u], beliefs, session).unwrap_or(beliefs[u]);
+            if opts.damping > 0.0 {
+                b.mean = b.mean.lerp(beliefs[u].mean, opts.damping);
+            }
+            b
         };
-
-        let loop_start = Stopwatch::start();
-        for iter in 0..opts.max_iterations {
-            let iter_start = Stopwatch::start();
-            // Roll this iteration's link fates and deaths (sequentially,
-            // before the parallel updates); dead nodes stop updating.
-            if let Some(s) = session.as_mut() {
-                s.begin_iteration(iter, &beliefs, obs);
-            }
-            let active_owned: Option<Vec<usize>> = session
-                .as_ref()
-                .map(|s| free.iter().copied().filter(|&u| s.node_alive(u)).collect());
-            let active: &[usize] = active_owned.as_deref().unwrap_or(&free);
-            let prev_means: Vec<Vec2> = free.iter().map(|&u| beliefs[u].mean).collect();
-
-            let update_one = |u: usize, beliefs: &Vec<GaussianBelief>| -> GaussianBelief {
-                self.update_node(mrf, u, &priors[u], beliefs, session.as_ref())
-                    .unwrap_or(beliefs[u])
-            };
-
-            match opts.schedule {
-                Schedule::Synchronous => {
-                    let new: Vec<(usize, GaussianBelief)> = active
-                        .par_iter()
-                        .map(|&u| (u, update_one(u, &beliefs)))
-                        .collect();
-                    for (u, mut b) in new {
-                        if opts.damping > 0.0 {
-                            b.mean = b.mean.lerp(beliefs[u].mean, opts.damping);
-                        }
-                        beliefs[u] = b;
-                    }
-                }
-                Schedule::Sweep => {
-                    for &u in active {
-                        let mut b = update_one(u, &beliefs);
-                        if opts.damping > 0.0 {
-                            b.mean = b.mean.lerp(beliefs[u].mean, opts.damping);
-                        }
-                        beliefs[u] = b;
-                    }
-                }
-            }
-
-            outcome.iterations = iter + 1;
-            outcome.messages += active.len() as u64;
-            validate::enforce("GaussianBp iteration", || {
-                let audit = DistributionAudit::default();
-                for (u, b) in beliefs.iter().enumerate() {
-                    audit.check_gaussian(&format!("belief[{u}] at iteration {iter}"), b)?;
-                }
-                Ok(())
-            });
-            on_iter(iter, &beliefs);
-
-            let max_shift = free
-                .iter()
-                .zip(&prev_means)
-                .map(|(&u, &prev)| beliefs[u].mean.dist(prev))
-                .fold(0.0, f64::max);
-            let residuals: Vec<NodeResidual> = if wants_residuals {
-                wsnloc_obs::accounting::note_residual_buffer();
-                free.iter()
-                    .zip(&prev_means)
-                    .map(|(&u, &prev)| NodeResidual {
-                        node: u,
-                        residual: beliefs[u].mean.dist(prev),
-                        kl: None,
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            obs.on_iteration(&IterationRecord {
-                iteration: iter,
-                max_shift,
-                comm: CommStats {
-                    messages: active.len() as u64,
-                    bytes: active.len() as u64 * opts.message_bytes,
-                },
-                damping: opts.damping,
-                schedule: opts.schedule.name(),
-                secs: iter_start.elapsed_secs(),
-                residuals,
-            });
-            if max_shift < opts.tolerance {
-                outcome.converged = true;
-                break;
-            }
-        }
-        obs.on_span(SpanKind::MessagePassing, loop_start.elapsed_secs());
-        obs.on_run_end(&RunSummary {
-            iterations: outcome.iterations,
-            converged: outcome.converged,
-            comm: CommStats {
-                messages: outcome.messages,
-                bytes: outcome.messages * opts.message_bytes,
-            },
-        });
-        RunOutcome {
-            beliefs,
-            bp: outcome,
-        }
+        driver.run(beliefs, 0, update, on_iter)
     }
 }
 
-impl GaussianBp {
-    /// One information-form update; `None` when the posterior information
-    /// matrix is singular (keeps the previous belief).
-    fn update_node(
-        &self,
-        mrf: &SpatialMrf,
-        u: usize,
-        prior: &GaussianBelief,
-        beliefs: &[GaussianBelief],
-        session: Option<&TransportSession<GaussianBelief>>,
-    ) -> Option<GaussianBelief> {
-        let mu = beliefs[u].mean;
-        // Prior information.
-        let p_info = inv2(prior.cov)?;
-        let mut lam = p_info;
-        let mut eta = [
-            p_info[0] * prior.mean.x + p_info[1] * prior.mean.y,
-            p_info[2] * prior.mean.x + p_info[3] * prior.mean.y,
-        ];
+/// One information-form update; `None` when the posterior information
+/// matrix is singular (keeps the previous belief).
+fn update_node(
+    mrf: &SpatialMrf,
+    u: usize,
+    prior: &GaussianBelief,
+    beliefs: &[GaussianBelief],
+    session: Option<&TransportSession<GaussianBelief>>,
+) -> Option<GaussianBelief> {
+    let mu = beliefs[u].mean;
+    // Prior information.
+    let p_info = inv2(prior.cov)?;
+    let mut lam = p_info;
+    let mut eta = [
+        p_info[0] * prior.mean.x + p_info[1] * prior.mean.y,
+        p_info[2] * prior.mean.x + p_info[3] * prior.mean.y,
+    ];
 
-        for &e in mrf.edges_of(u) {
-            let edge = &mrf.edges()[e];
-            let Some((observed, sigma)) = edge.potential.gaussian_range() else {
-                continue; // non-range potentials are ignored by this backend
-            };
-            let v = mrf.other_end(e, u);
-            // Transport verdict: skip never-received links, read the
-            // last delivered snapshot instead of the live neighbor
-            // belief, and scale the measurement information by the
-            // staleness discount `alpha`. Absent a session, alpha is 1
-            // (which multiplies exactly, keeping the perfect path
-            // bit-identical) and the snapshot is the live belief.
-            let mut alpha = 1.0;
-            let mut held: Option<&GaussianBelief> = None;
-            if let Some(s) = session {
-                let into_v = edge.v == u;
-                match s.verdict(e, into_v) {
-                    Verdict::Skip => continue,
-                    Verdict::Deliver { alpha: a } => {
-                        alpha = a;
-                        held = s.snapshot(e, into_v);
-                    }
-                }
-            }
-            let nb = held.unwrap_or(&beliefs[v]);
-            let diff = mu - nb.mean;
-            let dist = diff.norm();
-            if dist < 1e-6 {
-                continue; // gradient undefined this iteration
-            }
-            let g = diff / dist;
-            let s2 = sigma * sigma + nb.directional_variance(g);
-            if s2 <= 0.0 {
-                continue;
-            }
-            let r = observed - dist;
-            // Pseudo-measurement of gᵀx with value gᵀμᵤ + r.
-            let z = g.dot(mu) + r;
-            lam[0] += alpha * (g.x * g.x / s2);
-            lam[1] += alpha * (g.x * g.y / s2);
-            lam[2] += alpha * (g.y * g.x / s2);
-            lam[3] += alpha * (g.y * g.y / s2);
-            eta[0] += alpha * (g.x * z / s2);
-            eta[1] += alpha * (g.y * z / s2);
+    for &e in mrf.edges_of(u) {
+        let Some((observed, sigma)) = mrf.edges()[e].potential.gaussian_range() else {
+            continue; // non-range potentials are ignored by this backend
+        };
+        // Skip never-received links; otherwise read the delivered
+        // neighbor belief and scale its information by the staleness
+        // discount `alpha`.
+        let Some((alpha, nb)) = TransportSession::incoming(session, mrf, beliefs, e, u) else {
+            continue;
+        };
+        let diff = mu - nb.mean;
+        let dist = diff.norm();
+        if dist < 1e-6 {
+            continue; // gradient undefined this iteration
         }
-
-        let cov = inv2(lam)?;
-        let mean = Vec2::new(
-            cov[0] * eta[0] + cov[1] * eta[1],
-            cov[2] * eta[0] + cov[3] * eta[1],
-        );
-        mean.is_finite().then_some(GaussianBelief { mean, cov })
+        let g = diff / dist;
+        let s2 = sigma * sigma + nb.directional_variance(g);
+        if s2 <= 0.0 {
+            continue;
+        }
+        let r = observed - dist;
+        // Pseudo-measurement of gᵀx with value gᵀμᵤ + r.
+        let z = g.dot(mu) + r;
+        lam[0] += alpha * (g.x * g.x / s2);
+        lam[1] += alpha * (g.x * g.y / s2);
+        lam[2] += alpha * (g.y * g.x / s2);
+        lam[3] += alpha * (g.y * g.y / s2);
+        eta[0] += alpha * (g.x * z / s2);
+        eta[1] += alpha * (g.y * z / s2);
     }
+
+    let cov = inv2(lam)?;
+    let mean = Vec2::new(
+        cov[0] * eta[0] + cov[1] * eta[1],
+        cov[2] * eta[0] + cov[3] * eta[1],
+    );
+    mean.is_finite().then_some(GaussianBelief { mean, cov })
 }
 
 #[cfg(test)]
@@ -455,7 +311,7 @@ mod tests {
                 }),
             );
         }
-        let (beliefs, outcome) = GaussianBp::default().run(
+        let (beliefs, outcome) = GaussianBp.run(
             &mrf,
             &BpOptions::builder()
                 .max_iterations(30)
@@ -493,7 +349,7 @@ mod tests {
                 sigma: 1.5,
             }),
         );
-        let (beliefs, _) = GaussianBp::default().run(
+        let (beliefs, _) = GaussianBp.run(
             &mrf,
             &BpOptions::builder()
                 .max_iterations(25)
@@ -545,7 +401,7 @@ mod tests {
                 sigma: 1.0,
             }),
         );
-        let (beliefs, _) = GaussianBp::default().run(
+        let (beliefs, _) = GaussianBp.run(
             &mrf,
             &BpOptions::builder()
                 .max_iterations(20)
@@ -582,7 +438,7 @@ mod tests {
             .seed(9)
             .try_build()
             .expect("valid options");
-        let engine = GaussianBp::default();
+        let engine = GaussianBp;
         let (a, _) = engine.run(&mrf, &opts);
         let (b, _) = engine.run(&mrf, &opts);
         assert_eq!(a, b);
@@ -599,7 +455,7 @@ mod tests {
                 sigma: 5.0,
             }),
         );
-        let (beliefs, _) = GaussianBp::default().run(
+        let (beliefs, _) = GaussianBp.run(
             &mrf,
             &BpOptions::builder()
                 .max_iterations(5)

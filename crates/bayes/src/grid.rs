@@ -18,21 +18,16 @@
 //! resolution.
 
 use crate::cellbuf;
-use crate::engine::{BpEngine, RunOutcome, WarmStart};
-use crate::mrf::{BpOptions, BpOutcome, Schedule, SpatialMrf};
+use crate::engine::{BpEngine, Driver, RunOutcome, WarmStart};
+use crate::mrf::{BpOptions, SpatialMrf};
 use crate::potential::{PairPotential, UnaryPotential};
 use crate::stencil::KernelStencil;
-use crate::transport::{Transport, Verdict};
-use crate::validate::{self, DistributionAudit, GraphAudit, ValidationError};
-use rayon::prelude::*;
+use crate::transport::{Transport, TransportSession};
+use crate::validate::{DistributionAudit, ValidationError};
 use std::collections::HashMap;
 use std::sync::Arc;
 use wsnloc_geom::{Aabb, Matrix, Vec2};
-use wsnloc_obs::Stopwatch;
-use wsnloc_obs::{
-    CommStats, InferenceObserver, IterationRecord, NodeResidual, NullObserver, ObsEvent, RunInfo,
-    RunSummary, SpanKind,
-};
+use wsnloc_obs::{InferenceObserver, NullObserver, ObsEvent};
 
 /// A probability mass function over the cells of a fixed grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -355,6 +350,21 @@ impl crate::engine::Belief for GridBelief {
     fn map_estimate(&self) -> Option<Vec2> {
         Some(GridBelief::map_estimate(self))
     }
+
+    const DISTRIBUTION_RESIDUAL: bool = true;
+
+    /// The L1 mass distance from the previous belief, with the KL
+    /// divergence; the mean displacement if no previous belief is given.
+    fn residual(&self, prev_mean: Vec2, prev: Option<&Self>) -> (f64, Option<f64>) {
+        match prev {
+            Some(p) => (self.l1_distance(p), Some(self.kl_divergence(p))),
+            None => (self.mean().dist(prev_mean), None),
+        }
+    }
+
+    fn audit(&self, audit: &DistributionAudit, context: &str) -> Result<(), ValidationError> {
+        audit.check_grid(context, self)
+    }
 }
 
 impl crate::sharded::TemperBelief for GridBelief {
@@ -620,6 +630,10 @@ impl Warm<'_> {
     }
 }
 
+/// Source cells below this mass are skipped when scattering messages
+/// (a speed/accuracy trade-off; scaled by 1/cells per run).
+const MASS_FLOOR: f64 = 1e-4;
+
 /// Loopy belief propagation with grid-discretized beliefs.
 #[derive(Debug, Clone, Copy)]
 pub struct GridBp {
@@ -627,9 +641,6 @@ pub struct GridBp {
     pub nx: usize,
     /// Cells along y.
     pub ny: usize,
-    /// Source cells below this mass are skipped when scattering messages
-    /// (speed/accuracy trade-off; scaled by 1/cells internally).
-    pub mass_floor: f64,
     /// Whether the per-run message cache (prior beliefs, anchor messages,
     /// kernel stencils) is used. On by default; disabling it runs the
     /// recompute-everything reference path, kept for equivalence tests
@@ -644,7 +655,6 @@ impl GridBp {
         GridBp {
             nx: n,
             ny: n,
-            mass_floor: 1e-4,
             cache_messages: true,
             refine: None,
         }
@@ -669,11 +679,6 @@ impl GridBp {
         self
     }
 
-    /// The coarse-to-fine schedule, when enabled.
-    pub fn refinement(&self) -> Option<CoarseToFine> {
-        self.refine
-    }
-
     /// One full BP run at this engine's resolution. `pre_messages` seeds
     /// the broadcast count (coarse-phase messages are real broadcasts in
     /// the protocol being simulated).
@@ -687,38 +692,19 @@ impl GridBp {
         state: Warm<'_>,
         pre_messages: u64,
         obs: &dyn InferenceObserver,
-        mut on_iter: F,
+        on_iter: F,
     ) -> RunOutcome<GridBelief>
     where
         F: FnMut(usize, &[GridBelief]),
     {
-        validate::enforce("GridBp::run", || GraphAudit.check_mrf(mrf));
+        let driver = Driver::start("grid", mrf, opts, transport, obs);
         let domain = mrf.domain();
-        let floor = self.mass_floor / (self.nx * self.ny) as f64;
-        let free = mrf.free_vars();
-        obs.on_run_start(&RunInfo {
-            backend: "grid",
-            nodes: mrf.len(),
-            free: free.len(),
-            edges: mrf.edges().len(),
-            max_iterations: opts.max_iterations,
-            tolerance: opts.tolerance,
-            damping: opts.damping,
-            schedule: opts.schedule.name(),
-            message_bytes: opts.message_bytes,
-            seed: opts.seed,
-        });
-        let wants_residuals = obs.wants_residuals();
-        // Fault state for this run; `None` on the perfect transport, in
-        // which case every session touchpoint below compiles down to
-        // the fault-free path.
-        let mut session = transport.session::<GridBelief>(mrf, opts.seed);
+        let floor = MASS_FLOOR / (self.nx * self.ny) as f64;
 
         // Initial beliefs: priors for free vars, deltas for fixed ones.
         // With the message cache on, the iteration-invariant pieces
         // (priors, anchor messages, kernel stencils) are built here, once,
         // and the initial beliefs are shared with the cache.
-        let init_start = Stopwatch::start();
         let cache = if self.cache_messages {
             Some(MessageCache::build(mrf, domain, self.nx, self.ny, obs))
         } else {
@@ -759,210 +745,82 @@ impl GridBp {
             }
             base_belief(u)
         };
-        let mut beliefs: Vec<GridBelief> = match (&cache, &warm, &state) {
+        let beliefs: Vec<GridBelief> = match (&cache, &warm, &state) {
             (Some(c), Warm::None, Warm::None) => c.init.clone(),
             _ => (0..mrf.len()).map(init_belief).collect(),
         };
-        obs.on_span(SpanKind::PriorInit, init_start.elapsed_secs());
 
-        let mut outcome = BpOutcome {
-            iterations: 0,
-            converged: false,
-            messages: pre_messages,
-        };
-
-        let loop_start = Stopwatch::start();
-        for iter in 0..opts.max_iterations {
-            let iter_start = Stopwatch::start();
-            // Roll this iteration's link fates and deaths (sequentially,
-            // before the parallel updates); dead nodes stop updating.
-            if let Some(s) = session.as_mut() {
-                s.begin_iteration(iter, &beliefs, obs);
-            }
-            let active_owned: Option<Vec<usize>> = session
-                .as_ref()
-                .map(|s| free.iter().copied().filter(|&u| s.node_alive(u)).collect());
-            let active: &[usize] = active_owned.as_deref().unwrap_or(&free);
-            let prev_means: Vec<Vec2> = free.iter().map(|&u| beliefs[u].mean()).collect();
-            // Grid residuals (L1/KL) need the previous cell masses; the
-            // clone happens only when the observer asks for residuals.
-            let prev_beliefs: Option<Vec<GridBelief>> = if wants_residuals {
-                wsnloc_obs::accounting::note_residual_buffer();
-                Some(free.iter().map(|&u| beliefs[u].clone()).collect())
-            } else {
-                None
-            };
-
-            let update_one = |u: usize, beliefs: &[GridBelief]| -> Vec<f64> {
-                let mut bel = base_belief(u).mass;
-                // Message and separable-pass scratch, reused across edges.
-                let mut msg: Vec<f64> = Vec::new();
-                let mut scratch: Vec<f64> = Vec::new();
-                for &e in mrf.edges_of(u) {
-                    let v = mrf.other_end(e, u);
-                    let potential = mrf.edges()[e].potential.as_ref();
-                    // Transport verdict: skip never-received links,
-                    // temper held-but-aging content by `alpha`, and use
-                    // the last delivered snapshot instead of the live
-                    // neighbor belief. Absent a session (perfect
-                    // transport), alpha is 1 and the snapshot is the
-                    // live belief — the original code path.
-                    let mut alpha = 1.0;
-                    let mut held: Option<&GridBelief> = None;
-                    if let Some(s) = session.as_ref() {
-                        let into_v = mrf.edges()[e].v == u;
-                        match s.verdict(e, into_v) {
-                            Verdict::Skip => continue,
-                            Verdict::Deliver { alpha: a } => {
-                                alpha = a;
-                                held = s.snapshot(e, into_v);
-                            }
-                        }
-                    }
-                    match mrf.fixed(v) {
-                        Some(p) => {
-                            // Anchor message: cached once per run (its
-                            // fallback, if any, was reported at build
-                            // time), recomputed only on the reference
-                            // path.
-                            if let Some(am) = cache.as_ref().and_then(|c| c.anchor(e)) {
-                                if alpha < 1.0 {
-                                    msg.clear();
-                                    msg.extend_from_slice(am);
-                                    cellbuf::temper_cells(&mut msg, alpha);
-                                    cellbuf::product_cells(&mut bel, &msg);
-                                } else {
-                                    cellbuf::product_cells(&mut bel, am);
-                                }
+        let update = |_iter: usize, u: usize, beliefs: &[GridBelief], session: Option<&_>| {
+            let mut bel = base_belief(u);
+            // Message and separable-pass scratch, reused across edges.
+            let mut msg: Vec<f64> = Vec::new();
+            let mut scratch: Vec<f64> = Vec::new();
+            for &e in mrf.edges_of(u) {
+                let potential = mrf.edges()[e].potential.as_ref();
+                // Skip never-received links; otherwise temper the
+                // delivered content by its staleness discount `alpha`.
+                let Some((alpha, source)) = TransportSession::incoming(session, mrf, beliefs, e, u)
+                else {
+                    continue;
+                };
+                match mrf.fixed(mrf.other_end(e, u)) {
+                    Some(p) => {
+                        // Anchor message: cached once per run (its
+                        // fallback, if any, was reported at build
+                        // time), recomputed only on the reference
+                        // path.
+                        if let Some(am) = cache.as_ref().and_then(|c| c.anchor(e)) {
+                            if alpha < 1.0 {
+                                msg.clear();
+                                msg.extend_from_slice(am);
+                                cellbuf::temper_cells(&mut msg, alpha);
+                                cellbuf::product_cells(&mut bel.mass, &msg);
                             } else {
-                                let (mut m, collapsed) = point_message(&shape, p, potential);
-                                if collapsed {
-                                    obs.on_event(&ObsEvent::GridUniformFallback {
-                                        edge: e,
-                                        stage: "point",
-                                    });
-                                }
-                                cellbuf::temper_cells(&mut m, alpha);
-                                cellbuf::product_cells(&mut bel, &m);
+                                cellbuf::product_cells(&mut bel.mass, am);
                             }
-                        }
-                        None => {
-                            let source = held.unwrap_or(&beliefs[v]);
-                            let collapsed = match cache.as_ref().and_then(|c| c.stencil(e)) {
-                                Some(st) => {
-                                    msg.clear();
-                                    msg.resize(bel.len(), 0.0);
-                                    st.scatter(
-                                        &source.mass,
-                                        self.nx,
-                                        floor,
-                                        &mut msg,
-                                        &mut scratch,
-                                    );
-                                    cellbuf::finalize_cells(&mut msg)
-                                }
-                                None => {
-                                    let (m, collapsed) = kernel_message(source, potential, floor);
-                                    msg = m;
-                                    collapsed
-                                }
-                            };
+                        } else {
+                            let (mut m, collapsed) = point_message(&shape, p, potential);
                             if collapsed {
                                 obs.on_event(&ObsEvent::GridUniformFallback {
                                     edge: e,
-                                    stage: "kernel",
+                                    stage: "point",
                                 });
                             }
-                            cellbuf::temper_cells(&mut msg, alpha);
-                            cellbuf::product_cells(&mut bel, &msg);
+                            cellbuf::temper_cells(&mut m, alpha);
+                            cellbuf::product_cells(&mut bel.mass, &m);
                         }
                     }
-                }
-                bel
-            };
-
-            match opts.schedule {
-                Schedule::Synchronous => {
-                    let new: Vec<(usize, Vec<f64>)> = active
-                        .par_iter()
-                        .map(|&u| (u, update_one(u, &beliefs)))
-                        .collect();
-                    for (u, mut b) in new {
-                        if opts.damping > 0.0 {
-                            cellbuf::damp_cells(&mut b, &beliefs[u].mass, opts.damping);
+                    None => {
+                        let collapsed = match cache.as_ref().and_then(|c| c.stencil(e)) {
+                            Some(st) => {
+                                msg.clear();
+                                msg.resize(bel.mass.len(), 0.0);
+                                st.scatter(&source.mass, self.nx, floor, &mut msg, &mut scratch);
+                                cellbuf::finalize_cells(&mut msg)
+                            }
+                            None => {
+                                let (m, collapsed) = kernel_message(source, potential, floor);
+                                msg = m;
+                                collapsed
+                            }
+                        };
+                        if collapsed {
+                            obs.on_event(&ObsEvent::GridUniformFallback {
+                                edge: e,
+                                stage: "kernel",
+                            });
                         }
-                        beliefs[u].mass = b;
-                    }
-                }
-                Schedule::Sweep => {
-                    for &u in active {
-                        let mut b = update_one(u, &beliefs);
-                        if opts.damping > 0.0 {
-                            cellbuf::damp_cells(&mut b, &beliefs[u].mass, opts.damping);
-                        }
-                        beliefs[u].mass = b;
+                        cellbuf::temper_cells(&mut msg, alpha);
+                        cellbuf::product_cells(&mut bel.mass, &msg);
                     }
                 }
             }
-
-            outcome.iterations = iter + 1;
-            outcome.messages += active.len() as u64;
-            validate::enforce("GridBp iteration", || {
-                let audit = DistributionAudit::default();
-                for (u, b) in beliefs.iter().enumerate() {
-                    audit.check_grid(&format!("belief[{u}] at iteration {iter}"), b)?;
-                }
-                Ok(())
-            });
-            on_iter(iter, &beliefs);
-
-            let max_shift = free
-                .iter()
-                .zip(&prev_means)
-                .map(|(&u, &prev)| beliefs[u].mean().dist(prev))
-                .fold(0.0, f64::max);
-            let residuals: Vec<NodeResidual> = match &prev_beliefs {
-                Some(prev) => free
-                    .iter()
-                    .zip(prev)
-                    .map(|(&u, p)| NodeResidual {
-                        node: u,
-                        residual: beliefs[u].l1_distance(p),
-                        kl: Some(beliefs[u].kl_divergence(p)),
-                    })
-                    .collect(),
-                None => Vec::new(),
-            };
-            obs.on_iteration(&IterationRecord {
-                iteration: iter,
-                max_shift,
-                comm: CommStats {
-                    messages: active.len() as u64,
-                    bytes: active.len() as u64 * opts.message_bytes,
-                },
-                damping: opts.damping,
-                schedule: opts.schedule.name(),
-                secs: iter_start.elapsed_secs(),
-                residuals,
-            });
-            if max_shift < opts.tolerance {
-                outcome.converged = true;
-                break;
+            if opts.damping > 0.0 {
+                cellbuf::damp_cells(&mut bel.mass, &beliefs[u].mass, opts.damping);
             }
-        }
-        obs.on_span(SpanKind::MessagePassing, loop_start.elapsed_secs());
-        obs.on_run_end(&RunSummary {
-            iterations: outcome.iterations,
-            converged: outcome.converged,
-            comm: CommStats {
-                messages: outcome.messages,
-                bytes: outcome.messages * opts.message_bytes,
-            },
-        });
-        RunOutcome {
-            beliefs,
-            bp: outcome,
-        }
+            bel
+        };
+        driver.run(beliefs, pre_messages, update, on_iter)
     }
 }
 
@@ -1072,6 +930,7 @@ impl BpEngine for GridBp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mrf::Schedule;
     use crate::potential::{GaussianRange, GaussianUnary, UniformBoxUnary};
     use std::sync::Arc;
 

@@ -21,7 +21,12 @@
 //!   paper's formulation is nonparametric.
 //!
 //! Loopy belief propagation over any of these representations is what
-//! the core `wsnloc` crate runs to localize sensor networks.
+//! the core `wsnloc` crate runs to localize sensor networks. The three
+//! backends share one iteration loop, the generic driver in [`engine`]:
+//! each backend supplies only its initial beliefs and per-node priors
+//! and a per-node update, and the driver owns scheduling, the transport
+//! seam, telemetry, the distribution audit and the convergence test.
+//! [`sharded`] runs any of them shard by shard for very large networks.
 
 #![warn(missing_docs)]
 

@@ -18,19 +18,15 @@
 //! overcounts loops but converges fast and matches the distributed protocol
 //! a WSN would actually run.
 
-use crate::engine::{BpEngine, RunOutcome, WarmStart};
-use crate::mrf::{BpOptions, BpOutcome, Schedule, SpatialMrf};
+use crate::engine::{BpEngine, Driver, RunOutcome, WarmStart};
+use crate::mrf::{BpOptions, SpatialMrf};
 use crate::potential::{PairPotential, UnaryPotential};
-use crate::transport::{Transport, TransportSession, Verdict};
-use crate::validate::{self, DistributionAudit, GraphAudit};
-use rayon::prelude::*;
+use crate::transport::{Transport, TransportSession};
+use crate::validate::{DistributionAudit, ValidationError};
 use wsnloc_geom::kde::silverman_bandwidth;
 use wsnloc_geom::rng::{systematic_resample, Xoshiro256pp};
 use wsnloc_geom::{Matrix, Vec2};
-use wsnloc_obs::Stopwatch;
-use wsnloc_obs::{
-    CommStats, InferenceObserver, IterationRecord, NodeResidual, RunInfo, RunSummary, SpanKind,
-};
+use wsnloc_obs::InferenceObserver;
 
 /// A weighted particle representation of a position belief.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,7 +170,7 @@ impl ParticleBelief {
 
 /// Whole-number share of the particle budget: `round(n * fraction)`.
 ///
-/// Fractions come from validated configuration in `[0, 1]`, and the cast
+/// Fractions are constants or validated options in `[0, 1]`, and the cast
 /// happens once per node update — never in a per-particle loop.
 fn share(n: usize, fraction: f64) -> usize {
     ((n as f64) * fraction).round() as usize
@@ -193,6 +189,10 @@ impl crate::engine::Belief for ParticleBelief {
 
     fn map_estimate(&self) -> Option<Vec2> {
         None
+    }
+
+    fn audit(&self, audit: &DistributionAudit, context: &str) -> Result<(), ValidationError> {
+        audit.check_particles(context, self)
     }
 }
 
@@ -251,6 +251,12 @@ impl EpochPrior<'_> {
     }
 }
 
+/// Fraction of candidates proposed from the prior each iteration.
+const PRIOR_FRACTION: f64 = 0.1;
+
+/// Fraction of candidates proposed from neighbor rings.
+const NEIGHBOR_FRACTION: f64 = 0.4;
+
 /// Loopy belief propagation with particle beliefs.
 #[derive(Debug, Clone, Copy)]
 pub struct ParticleBp {
@@ -259,10 +265,6 @@ pub struct ParticleBp {
     /// Neighbor particles subsampled when evaluating mixture likelihoods
     /// (caps the O(particles × neighbors × mixture) inner loop).
     pub mixture_samples: usize,
-    /// Fraction of candidates proposed from the prior each iteration.
-    pub prior_fraction: f64,
-    /// Fraction of candidates proposed from neighbor rings.
-    pub neighbor_fraction: f64,
 }
 
 impl Default for ParticleBp {
@@ -270,8 +272,6 @@ impl Default for ParticleBp {
         ParticleBp {
             particles: 300,
             mixture_samples: 24,
-            prior_fraction: 0.1,
-            neighbor_fraction: 0.4,
         }
     }
 }
@@ -313,36 +313,19 @@ impl BpEngine for ParticleBp {
         transport: &Transport,
         warm: WarmStart<'_, ParticleBelief>,
         obs: &dyn InferenceObserver,
-        mut on_iter: F,
+        on_iter: F,
     ) -> RunOutcome<ParticleBelief>
     where
         F: FnMut(usize, &[ParticleBelief]),
     {
         assert!(self.particles > 0, "need at least one particle");
-        validate::enforce("ParticleBp::run", || GraphAudit.check_mrf(mrf));
+        let driver = Driver::start("particle", mrf, opts, transport, obs);
         let root = Xoshiro256pp::seed_from(opts.seed);
-        let free = mrf.free_vars();
-        obs.on_run_start(&RunInfo {
-            backend: "particle",
-            nodes: mrf.len(),
-            free: free.len(),
-            edges: mrf.edges().len(),
-            max_iterations: opts.max_iterations,
-            tolerance: opts.tolerance,
-            damping: opts.damping,
-            schedule: opts.schedule.name(),
-            message_bytes: opts.message_bytes,
-            seed: opts.seed,
-        });
-        let wants_residuals = obs.wants_residuals();
-        // Fault state for this run; `None` on the perfect transport.
-        let mut session = transport.session::<ParticleBelief>(mrf, opts.seed);
 
         // Initialize: fixed vars are points, free vars take the resumed
         // state (or carried prior), else sample their unary.
-        let init_start = Stopwatch::start();
         let seed_beliefs = warm.state.or(warm.prior);
-        let mut beliefs: Vec<ParticleBelief> = (0..mrf.len())
+        let beliefs: Vec<ParticleBelief> = (0..mrf.len())
             .map(|u| match (mrf.fixed(u), seed_beliefs) {
                 (Some(p), _) => ParticleBelief::point(p),
                 // Carried-over or resumed particle set, already
@@ -372,121 +355,13 @@ impl BpEngine for ParticleBp {
                 _ => EpochPrior::Unary(mrf.unary(u).as_ref()),
             })
             .collect();
-        obs.on_span(SpanKind::PriorInit, init_start.elapsed_secs());
 
-        let mut outcome = BpOutcome {
-            iterations: 0,
-            converged: false,
-            messages: 0,
+        // Per-iteration, per-node deterministic RNG streams.
+        let update = |iter: usize, u: usize, beliefs: &[ParticleBelief], session: Option<&_>| {
+            let mut rng = root.split(((iter as u64 + 1) << 32) | u as u64);
+            self.update_node(mrf, u, beliefs, session, opts, &epoch_priors[u], &mut rng)
         };
-
-        let loop_start = Stopwatch::start();
-        for iter in 0..opts.max_iterations {
-            let iter_start = Stopwatch::start();
-            // Roll this iteration's link fates and deaths (sequentially,
-            // before the parallel updates); dead nodes stop updating.
-            if let Some(s) = session.as_mut() {
-                s.begin_iteration(iter, &beliefs, obs);
-            }
-            let active_owned: Option<Vec<usize>> = session
-                .as_ref()
-                .map(|s| free.iter().copied().filter(|&u| s.node_alive(u)).collect());
-            let active: &[usize] = active_owned.as_deref().unwrap_or(&free);
-            let prev_means: Vec<Vec2> = free.iter().map(|&u| beliefs[u].mean()).collect();
-            // Per-iteration, per-node deterministic RNG streams.
-            let iter_tag = (iter as u64 + 1) << 32;
-
-            let update_one = |u: usize, beliefs: &Vec<ParticleBelief>| -> ParticleBelief {
-                let mut rng = root.split(iter_tag | u as u64);
-                self.update_node(
-                    mrf,
-                    u,
-                    beliefs,
-                    session.as_ref(),
-                    opts,
-                    &epoch_priors[u],
-                    &mut rng,
-                )
-            };
-
-            match opts.schedule {
-                Schedule::Synchronous => {
-                    let new: Vec<(usize, ParticleBelief)> = active
-                        .par_iter()
-                        .map(|&u| (u, update_one(u, &beliefs)))
-                        .collect();
-                    for (u, b) in new {
-                        beliefs[u] = b;
-                    }
-                }
-                Schedule::Sweep => {
-                    for &u in active {
-                        beliefs[u] = update_one(u, &beliefs);
-                    }
-                }
-            }
-
-            outcome.iterations = iter + 1;
-            outcome.messages += active.len() as u64;
-            validate::enforce("ParticleBp iteration", || {
-                let audit = DistributionAudit::default();
-                for (u, b) in beliefs.iter().enumerate() {
-                    audit.check_particles(&format!("belief[{u}] at iteration {iter}"), b)?;
-                }
-                Ok(())
-            });
-            on_iter(iter, &beliefs);
-
-            let max_shift = free
-                .iter()
-                .zip(&prev_means)
-                .map(|(&u, &prev)| beliefs[u].mean().dist(prev))
-                .fold(0.0, f64::max);
-            // Residuals (belief-mean displacement per node) are computed
-            // only when the observer asks — the zero-cost contract.
-            let residuals: Vec<NodeResidual> = if wants_residuals {
-                wsnloc_obs::accounting::note_residual_buffer();
-                free.iter()
-                    .zip(&prev_means)
-                    .map(|(&u, &prev)| NodeResidual {
-                        node: u,
-                        residual: beliefs[u].mean().dist(prev),
-                        kl: None,
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            obs.on_iteration(&IterationRecord {
-                iteration: iter,
-                max_shift,
-                comm: CommStats {
-                    messages: active.len() as u64,
-                    bytes: active.len() as u64 * opts.message_bytes,
-                },
-                damping: opts.damping,
-                schedule: opts.schedule.name(),
-                secs: iter_start.elapsed_secs(),
-                residuals,
-            });
-            if max_shift < opts.tolerance {
-                outcome.converged = true;
-                break;
-            }
-        }
-        obs.on_span(SpanKind::MessagePassing, loop_start.elapsed_secs());
-        obs.on_run_end(&RunSummary {
-            iterations: outcome.iterations,
-            converged: outcome.converged,
-            comm: CommStats {
-                messages: outcome.messages,
-                bytes: outcome.messages * opts.message_bytes,
-            },
-        });
-        RunOutcome {
-            beliefs,
-            bp: outcome,
-        }
+        driver.run(beliefs, 0, update, on_iter)
     }
 }
 
@@ -521,34 +396,22 @@ impl ParticleBp {
         let ctx: Vec<EdgeCtx<'_>> = edges
             .iter()
             .filter_map(|&e| {
-                let v = mrf.other_end(e, u);
-                let mut alpha = 1.0;
-                let mut held: Option<&ParticleBelief> = None;
-                if let Some(s) = session {
-                    let into_v = mrf.edges()[e].v == u;
-                    match s.verdict(e, into_v) {
-                        Verdict::Skip => return None,
-                        Verdict::Deliver { alpha: a } => {
-                            alpha = a;
-                            held = s.snapshot(e, into_v);
-                        }
-                    }
-                }
+                let (alpha, belief) = TransportSession::incoming(session, mrf, beliefs, e, u)?;
                 Some(EdgeCtx {
-                    belief: held.unwrap_or(&beliefs[v]),
+                    belief,
                     potential: mrf.edges()[e].potential.as_ref(),
-                    fixed: mrf.fixed(v),
+                    fixed: mrf.fixed(mrf.other_end(e, u)),
                     alpha,
                 })
             })
             .collect();
 
         // --- Proposal ---------------------------------------------------
-        let n_prior = share(n, self.prior_fraction);
+        let n_prior = share(n, PRIOR_FRACTION);
         let n_neighbor = if ctx.is_empty() {
             0
         } else {
-            share(n, self.neighbor_fraction)
+            share(n, NEIGHBOR_FRACTION)
         };
         let n_walk = n.saturating_sub(n_prior + n_neighbor);
 

@@ -18,10 +18,11 @@
 //!   values are discarded and re-synchronized from their owners.
 //!
 //! Execution alternates **interior sweeps** and **boundary exchange**:
-//! each outer round runs `interior_iterations` BP iterations inside
-//! every shard in parallel on the persistent worker pool (the inner
-//! engines resume from the previous round's state through
-//! [`WarmStart::state`], so measurements are never double-counted),
+//! each outer round runs `interior_iterations` BP iterations (the last
+//! argument of [`ShardedEngine::new`], which the core localizer always
+//! sets to one) inside every shard in parallel on the persistent worker
+//! pool (the inner engines resume from the previous round's state
+//! through [`WarmStart::state`], so measurements are never double-counted),
 //! then every shard's halo mirrors are refreshed from the owners'
 //! fresh beliefs. Cross-shard refreshes travel through the existing
 //! [`Transport`] seam: under a faulted transport, a per-run
@@ -52,6 +53,10 @@
 //!   are given a zero tolerance), tested on the largest owned-belief
 //!   mean displacement per round against `opts.tolerance`.
 //!
+//! The round loop reports through the same run-header, iteration-record
+//! and run-summary builders as the flat engines' shared BP driver
+//! ([`crate::engine`]), one record per outer round.
+//!
 //! Scope notes, deliberately accepted and documented: node death under
 //! sharding silences a node's *cross-shard* messages only (interior
 //! sweeps run on the lossless in-memory path); coarse-to-fine grid
@@ -60,22 +65,21 @@
 
 use std::sync::Arc;
 
-use crate::engine::{Belief, BpEngine, RunOutcome, WarmStart};
+use crate::engine::{
+    iteration_record, run_info, run_summary, Belief, BpEngine, RunOutcome, WarmStart,
+};
 use crate::gaussian::GaussianBelief;
 use crate::mrf::{BpOptions, BpOutcome, SpatialMrf};
 use crate::particle::ParticleBelief;
-use crate::transport::{Transport, TransportSession, Verdict};
+use crate::transport::{Transport, TransportSession};
 use crate::validate::ValidationError;
 use rayon::prelude::*;
 use wsnloc_geom::{ShardLayout, Vec2};
-use wsnloc_obs::{
-    CommStats, InferenceObserver, IterationRecord, NodeResidual, NullObserver, ObsEvent, RunInfo,
-    RunSummary, SpanKind, Stopwatch,
-};
+use wsnloc_obs::{InferenceObserver, NodeResidual, NullObserver, ObsEvent, SpanKind, Stopwatch};
 
 /// Belief-level staleness tempering, `belief^alpha` in the appropriate
 /// representation. Used when a cross-shard mirror refresh arrives
-/// staleness-discounted (`Verdict::Deliver` with `alpha < 1`): the
+/// staleness-discounted (a delivery with `alpha < 1`): the
 /// flat engines discount the *message* built from a belief, the
 /// sharded engine must discount the mirrored *belief* itself.
 ///
@@ -171,35 +175,6 @@ impl<E> ShardedEngine<E> {
             layout,
             interior_iterations,
         })
-    }
-
-    /// Infallible variant of [`ShardedEngine::new`] for callers whose
-    /// own validation already guarantees a positive iteration count:
-    /// values below 1 are clamped to 1 instead of erroring.
-    pub fn clamped(inner: E, layout: Arc<ShardLayout>, interior_iterations: usize) -> Self {
-        ShardedEngine {
-            inner,
-            layout,
-            interior_iterations: interior_iterations.max(1),
-        }
-    }
-
-    /// The spatial layout shards execute over.
-    #[must_use]
-    pub fn layout(&self) -> &ShardLayout {
-        &self.layout
-    }
-
-    /// Interior BP iterations per outer round.
-    #[must_use]
-    pub fn interior_iterations(&self) -> usize {
-        self.interior_iterations
-    }
-
-    /// The wrapped flat engine.
-    #[must_use]
-    pub fn inner(&self) -> &E {
-        &self.inner
     }
 }
 
@@ -395,18 +370,8 @@ where
 
         let n = mrf.len();
         let free: Vec<bool> = (0..n).map(|u| mrf.fixed(u).is_none()).collect();
-        obs.on_run_start(&RunInfo {
-            backend: self.backend_name(),
-            nodes: n,
-            free: free.iter().filter(|&&f| f).count(),
-            edges: mrf.edges().len(),
-            max_iterations: opts.max_iterations,
-            tolerance: opts.tolerance,
-            damping: opts.damping,
-            schedule: opts.schedule.name(),
-            message_bytes: opts.message_bytes,
-            seed: opts.seed,
-        });
+        let free_count = free.iter().filter(|&&f| f).count();
+        obs.on_run_start(&run_info(self.backend_name(), mrf, free_count, opts));
 
         let build_t = Stopwatch::start();
         let (boundary, subs) = self.compile(mrf, &occupied);
@@ -531,18 +496,14 @@ where
                 Vec::new()
             };
             prev_means = means;
-            obs.on_iteration(&IterationRecord {
-                iteration: round,
+            obs.on_iteration(&iteration_record(
+                round,
                 max_shift,
-                comm: CommStats {
-                    messages: round_msgs,
-                    bytes: round_msgs * opts.message_bytes,
-                },
-                damping: opts.damping,
-                schedule: opts.schedule.name(),
-                secs: round_t.elapsed_secs(),
+                round_msgs,
+                opts,
+                round_t.elapsed_secs(),
                 residuals,
-            });
+            ));
             on_iter(round, &global);
 
             if opts.tolerance > 0.0 && max_shift < opts.tolerance {
@@ -562,16 +523,14 @@ where
                         if let Some(state) = st.as_mut() {
                             let mut delivered: u64 = 0;
                             for &(l, _, be, riv) in &sg.routed {
-                                if let Verdict::Deliver { alpha } = sess.verdict(be, riv) {
-                                    if let Some(content) = sess.snapshot(be, riv) {
-                                        state[l] = if alpha < 1.0 {
-                                            content.tempered(alpha)
-                                        } else {
-                                            content.clone()
-                                        };
-                                        pending_boundary += 1;
-                                        delivered += 1;
-                                    }
+                                if let Some((alpha, Some(content))) = sess.delivery(be, riv) {
+                                    state[l] = if alpha < 1.0 {
+                                        content.tempered(alpha)
+                                    } else {
+                                        content.clone()
+                                    };
+                                    pending_boundary += 1;
+                                    delivered += 1;
                                 }
                             }
                             for &(l, g) in &sg.ambient {
@@ -604,22 +563,16 @@ where
                 }
             }
         }
-        obs.on_span(SpanKind::MessagePassing, loop_t.elapsed_secs());
-        obs.on_run_end(&RunSummary {
+        let bp = BpOutcome {
             iterations,
             converged,
-            comm: CommStats {
-                messages,
-                bytes: messages * opts.message_bytes,
-            },
-        });
+            messages,
+        };
+        obs.on_span(SpanKind::MessagePassing, loop_t.elapsed_secs());
+        obs.on_run_end(&run_summary(&bp, opts));
         RunOutcome {
             beliefs: global,
-            bp: BpOutcome {
-                iterations,
-                converged,
-                messages,
-            },
+            bp,
         }
     }
 }
@@ -738,8 +691,8 @@ mod tests {
             tolerance: 0.0,
             ..BpOptions::default()
         };
-        let flat = GaussianBp::default();
-        let sharded = ShardedEngine::new(GaussianBp::default(), layout, 2).expect("valid config");
+        let flat = GaussianBp;
+        let sharded = ShardedEngine::new(GaussianBp, layout, 2).expect("valid config");
         let (fb, _) = flat.run(&mrf, &opts);
         let (sb, _) = sharded.run(&mrf, &opts);
         // The Gaussian backend keys its per-node RNG streams by local
@@ -779,7 +732,7 @@ mod tests {
             &[Vec2::new(1.0, 1.0)],
             2.0,
         ));
-        assert!(ShardedEngine::new(GaussianBp::default(), layout, 0).is_err());
+        assert!(ShardedEngine::new(GaussianBp, layout, 0).is_err());
     }
 
     #[test]

@@ -78,21 +78,6 @@ impl Transport {
     }
 }
 
-/// What the transport delivers for one directed link this iteration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Verdict {
-    /// Nothing has ever arrived on this link — the edge contributes no
-    /// message this iteration.
-    Skip,
-    /// Apply the link's current content with weight `alpha` in `(0, 1]`
-    /// (`1.0` = full weight; smaller = staleness-discounted).
-    Deliver {
-        /// Staleness discount applied to the message's log-likelihood
-        /// contribution.
-        alpha: f64,
-    },
-}
-
 /// Per-run fault state: link fates are rolled once per iteration
 /// (sequentially, before the — possibly parallel — node updates), after
 /// which the session is consulted read-only.
@@ -260,12 +245,16 @@ impl<B: Clone> TransportSession<B> {
         }
     }
 
-    /// The delivery verdict for edge `e` into its receiver
-    /// (`receiver_is_v` selects which endpoint is receiving).
-    pub(crate) fn verdict(&self, e: usize, receiver_is_v: bool) -> Verdict {
+    /// What edge `e` delivers into its receiver this iteration
+    /// (`receiver_is_v` selects which endpoint is receiving): `None` when
+    /// nothing has ever arrived on the link, else the staleness discount
+    /// `alpha` in `(0, 1]` (`1.0` = full weight) and the held belief
+    /// snapshot. The snapshot is `None` for fixed (anchor) senders, whose
+    /// content is their position.
+    pub(crate) fn delivery(&self, e: usize, receiver_is_v: bool) -> Option<(f64, Option<&B>)> {
         let dir = 2 * e + usize::from(receiver_is_v);
         if !self.received[dir] {
-            return Verdict::Skip;
+            return None;
         }
         let age = self.age[dir];
         let alpha = if age == 0 {
@@ -282,12 +271,29 @@ impl<B: Clone> TransportSession<B> {
                 }
             }
         };
-        Verdict::Deliver { alpha }
+        Some((alpha, self.last[dir].as_ref()))
     }
 
-    /// The held belief snapshot for edge `e` into its receiver. `None`
-    /// for fixed (anchor) senders, whose content is their position.
-    pub(crate) fn snapshot(&self, e: usize, receiver_is_v: bool) -> Option<&B> {
-        self.last[2 * e + usize::from(receiver_is_v)].as_ref()
+    /// What edge `e` brings into node `u` in a flat engine's update: the
+    /// staleness discount and the neighbor belief to read, or `None`
+    /// when the link has never delivered (the edge then contributes
+    /// nothing). On the perfect transport (`session` is `None`) that is
+    /// the live neighbor belief at weight 1, which multiplies exactly
+    /// and keeps the fault-free path bit-identical; under faults it is
+    /// the held snapshot, or the live belief of an anchor sender.
+    pub(crate) fn incoming<'a>(
+        session: Option<&'a Self>,
+        mrf: &SpatialMrf,
+        beliefs: &'a [B],
+        e: usize,
+        u: usize,
+    ) -> Option<(f64, &'a B)> {
+        let live = &beliefs[mrf.other_end(e, u)];
+        match session {
+            None => Some((1.0, live)),
+            Some(s) => s
+                .delivery(e, mrf.edges()[e].v == u)
+                .map(|(alpha, held)| (alpha, held.unwrap_or(live))),
+        }
     }
 }

@@ -144,8 +144,7 @@ fn faulted_boundary_exchange_keeps_beliefs_finite() {
         .tolerance(0.0)
         .try_build()
         .expect("valid options");
-    let sharded =
-        ShardedEngine::new(GaussianBp::default(), Arc::clone(&layout), 1).expect("valid config");
+    let sharded = ShardedEngine::new(GaussianBp, Arc::clone(&layout), 1).expect("valid config");
     let transport = Transport::faulted(Arc::new(FaultPlan::iid_loss(0xFA57, 0.4)));
     let out = sharded.run_warm(
         &mrf,
@@ -232,8 +231,7 @@ fn unplanned_layout_is_thread_count_invariant() {
         .tolerance(0.0)
         .try_build()
         .expect("valid options");
-    let gaussian =
-        ShardedEngine::new(GaussianBp::default(), Arc::clone(&layout), 1).expect("valid config");
+    let gaussian = ShardedEngine::new(GaussianBp, Arc::clone(&layout), 1).expect("valid config");
     let grid = ShardedEngine::new(GridBp::with_resolution(16), layout, 2).expect("valid config");
     assert_eq!(
         means_on_pool(&gaussian, &mrf, &opts, 1),

@@ -38,6 +38,11 @@ use wsnloc_net::{FaultPlan, Network};
 use wsnloc_obs::Stopwatch;
 use wsnloc_obs::{InferenceObserver, NullObserver, ObsEvent, SpanKind};
 
+/// Particles in each broadcast belief summary of the particle backend —
+/// the communication accounting's payload size, equal to the particle
+/// engine's default mixture subsample.
+const BROADCAST_PARTICLES: usize = 24;
+
 /// Belief representation used by inference, with its backend-specific
 /// options. Variants carry construction-validated option bundles;
 /// build them through [`Backend::particle`]/[`Backend::grid`]/
@@ -101,13 +106,8 @@ pub struct BnlLocalizer {
     pub(crate) backend: Backend,
     /// BP engine options (seed is overridden per `localize` call).
     pub(crate) bp: BpOptions,
-    /// Negative connectivity constraints per node (0 = off).
-    pub(crate) negative_constraints: usize,
     /// Point estimate rule.
     pub(crate) estimator: Estimator,
-    /// Particles included in each broadcast belief summary (communication
-    /// accounting; also the mixture subsample size of the particle engine).
-    pub(crate) broadcast_particles: usize,
     /// Fault-injection plan applied to inter-node messaging (`None` =
     /// perfect transport, the bit-identical fault-free path).
     pub(crate) fault_plan: Option<Arc<FaultPlan>>,
@@ -174,18 +174,6 @@ impl BnlLocalizerBuilder {
         self
     }
 
-    /// Sets sampled negative connectivity constraints per node (0 = off).
-    pub fn negative_constraints(mut self, per_node: usize) -> Self {
-        self.inner.negative_constraints = per_node;
-        self
-    }
-
-    /// Sets the broadcast belief summary size (must be at least 1).
-    pub fn broadcast_particles(mut self, count: usize) -> Self {
-        self.inner.broadcast_particles = count;
-        self
-    }
-
     /// Injects faults into inter-node messaging per `plan` (message loss,
     /// node death, stale delivery). A [`FaultPlan::none`] plan compiles to
     /// the perfect transport — the bit-identical fault-free path. Under a
@@ -209,15 +197,8 @@ impl BnlLocalizerBuilder {
 
     /// Validates the configuration and returns the finished localizer.
     /// Backend and shard options were already validated at their own
-    /// construction; this checks the remaining builder-level knobs.
+    /// construction; this checks the BP options.
     pub fn try_build(self) -> Result<BnlLocalizer, ValidationError> {
-        if self.inner.broadcast_particles == 0 {
-            return Err(ValidationError::InvalidOption {
-                option: "broadcast_particles",
-                value: 0.0,
-                requirement: "must be at least 1",
-            });
-        }
         self.inner.bp.validated()?;
         Ok(self.inner)
     }
@@ -231,9 +212,7 @@ impl BnlLocalizer {
                 prior: PriorModel::Uninformative,
                 backend,
                 bp: BpOptions::default(),
-                negative_constraints: 0,
                 estimator: Estimator::Mmse,
-                broadcast_particles: 24,
                 fault_plan: None,
                 shards: None,
             },
@@ -285,8 +264,8 @@ impl BnlLocalizer {
             network,
             &self.prior,
             &ModelOptions {
-                negative_constraints_per_node: self.negative_constraints,
                 seed: seed ^ 0x9E37_79B9,
+                ..ModelOptions::default()
             },
         );
         let build_secs = build_start.elapsed_secs();
@@ -314,8 +293,7 @@ impl BnlLocalizer {
         // guessing a conversion.
         let carried = match self.backend {
             Backend::Particle(popts) => {
-                let mut engine = ParticleBp::with_particles(popts.particles);
-                engine.mixture_samples = self.broadcast_particles;
+                let engine = ParticleBp::with_particles(popts.particles);
                 let w = match warm {
                     Some(CarriedBeliefs::Particle(v)) => WarmStart::carried(v),
                     _ => WarmStart::cold(),
@@ -339,7 +317,7 @@ impl BnlLocalizer {
                     _ => WarmStart::cold(),
                 };
                 CarriedBeliefs::Gaussian(self.run_maybe_sharded(
-                    GaussianBp::default(),
+                    GaussianBp,
                     network,
                     &mrf,
                     &opts,
@@ -381,17 +359,16 @@ impl BnlLocalizer {
 
     /// Resolves the configured [`ShardPlan`] against a concrete network:
     /// node positions (anchor > planned > field center), tile counts from
-    /// the target shard size, and the halo radius (configured, or twice
-    /// the mean node spacing). `None` when sharding is off or the plan
-    /// resolves to a single tile — flat execution is the same thing,
-    /// cheaper.
+    /// the target shard size, and a halo radius of twice the mean node
+    /// spacing. `None` when sharding is off or the plan resolves to a
+    /// single tile — flat execution is the same thing, cheaper.
     ///
     /// A deployment with no plan stacks every free node on the field
     /// center, so one tile owns them all and sharding it costs a flat
     /// solve of that tile plus the shard overhead. The layout stays
     /// cheap: [`ShardLayout::build`] runs one halo query per distinct
     /// member position, so the stack costs one query, not one per node.
-    fn shard_layout(&self, network: &Network) -> Option<(Arc<ShardLayout>, usize)> {
+    fn shard_layout(&self, network: &Network) -> Option<Arc<ShardLayout>> {
         let plan = self.shards?;
         let n = network.len();
         if n == 0 {
@@ -410,20 +387,17 @@ impl BnlLocalizer {
                     .unwrap_or_else(|| bounds.center())
             })
             .collect();
-        let radius = plan.halo_radius.unwrap_or_else(|| {
-            let spacing = (bounds.width() * bounds.height() / n as f64).sqrt();
-            (2.0 * spacing).max(1e-6)
-        });
-        Some((
-            Arc::new(ShardLayout::build(
-                bounds, tiles_x, tiles_y, &positions, radius,
-            )),
-            plan.interior_iterations,
-        ))
+        let spacing = (bounds.width() * bounds.height() / n as f64).sqrt();
+        let radius = (2.0 * spacing).max(1e-6);
+        Some(Arc::new(ShardLayout::build(
+            bounds, tiles_x, tiles_y, &positions, radius,
+        )))
     }
 
     /// Runs the engine flat, or wrapped in a [`ShardedEngine`] when the
-    /// shard plan resolves to more than one tile for this network.
+    /// shard plan resolves to more than one tile for this network. The
+    /// sharded engine runs one interior iteration per outer round, the
+    /// tightest flat-run equivalence.
     #[allow(clippy::too_many_arguments)]
     fn run_maybe_sharded<E, F>(
         &self,
@@ -439,27 +413,25 @@ impl BnlLocalizer {
         on_iteration: F,
     ) -> Vec<E::Belief>
     where
-        E: BpEngine + Sync,
+        E: BpEngine + Copy + Sync,
         E::Belief: TemperBelief,
         F: FnMut(usize, &[Option<Vec2>]),
     {
-        match self.shard_layout(network) {
-            Some((layout, interior)) => {
-                // `ShardPlan` construction guarantees `interior >= 1`;
-                // `clamped` encodes that invariant infallibly.
-                let sharded = ShardedEngine::clamped(engine, layout, interior);
-                self.run_backend(
-                    &sharded,
-                    mrf,
-                    opts,
-                    transport,
-                    warm,
-                    obs,
-                    build_secs,
-                    result,
-                    on_iteration,
-                )
-            }
+        let sharded = self
+            .shard_layout(network)
+            .and_then(|layout| ShardedEngine::new(engine, layout, 1).ok());
+        match sharded {
+            Some(sharded) => self.run_backend(
+                &sharded,
+                mrf,
+                opts,
+                transport,
+                warm,
+                obs,
+                build_secs,
+                result,
+                on_iteration,
+            ),
             None => self.run_backend(
                 &engine,
                 mrf,
@@ -539,8 +511,8 @@ impl BnlLocalizer {
         let msg = match self.backend {
             Backend::Particle(_) => WireMessage::ParticleBelief {
                 from: 0,
-                count: u32::try_from(self.broadcast_particles).unwrap_or(u32::MAX),
-                payload: vec![(Vec2::ZERO, 0.0); self.broadcast_particles],
+                count: u32::try_from(BROADCAST_PARTICLES).unwrap_or(u32::MAX),
+                payload: vec![(Vec2::ZERO, 0.0); BROADCAST_PARTICLES],
             },
             Backend::Grid(_) | Backend::Gaussian => WireMessage::GaussianBelief {
                 from: 0,
@@ -810,10 +782,6 @@ mod tests {
     fn builder_rejects_bad_configs() {
         assert!(Backend::particle(0).is_err());
         assert!(Backend::grid(1).is_err());
-        assert!(BnlLocalizer::builder(Backend::gaussian())
-            .broadcast_particles(0)
-            .try_build()
-            .is_err());
         assert!(BnlLocalizer::builder(Backend::gaussian())
             .damping(1.0)
             .try_build()

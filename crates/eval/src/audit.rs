@@ -3,11 +3,11 @@
 //!
 //! The static lint tier can reject *patterns* that tend to break
 //! determinism (unseeded RNG, `HashMap` iteration, unfenced atomics);
-//! this module is the dynamic complement: it *executes* grid and
-//! particle BP — plus a sharded-grid run (per-shard interior sweeps
-//! fanned through the pool with cross-shard boundary exchanges) and a
-//! multi-tenant streaming-engine scenario with belief carry-over and
-//! overload shedding — under every combination of
+//! this module is the dynamic complement: it *executes* grid, particle
+//! and Gaussian BP — plus sharded-grid and sharded-Gaussian runs
+//! (per-shard interior sweeps fanned through the pool with cross-shard
+//! boundary exchanges) and a multi-tenant streaming-engine scenario with
+//! belief carry-over and overload shedding — under every combination of
 //! worker-pool thread count and seeded schedule permutation (the `rayon`
 //! shim's `set_schedule_permutation` hook shuffles the order chunk jobs
 //! reach the shared queue) and asserts that beliefs and folded metrics
@@ -114,7 +114,7 @@ fn normalize(mut snapshot: MetricsSnapshot) -> MetricsSnapshot {
 
 /// The audited workload: same drop-cluster scenario the determinism
 /// tier-1 tests pin, exercised by the iterative backends flat and (for
-/// the grid engine) through the sharded execution layer.
+/// the grid and Gaussian engines) through the sharded execution layer.
 fn audit_scenario() -> Scenario {
     Scenario {
         name: "audit-determinism".into(),
@@ -154,8 +154,27 @@ fn backends() -> Vec<(&'static str, BnlLocalizer)> {
         (
             "sharded-grid",
             BnlLocalizer::builder(Backend::grid(25).expect("valid backend"))
-                .prior(prior)
+                .prior(prior.clone())
                 .max_iterations(4)
+                .shards(ShardPlan::target_nodes(16).expect("valid shard plan"))
+                .try_build()
+                .expect("valid config"),
+        ),
+        (
+            "gaussian",
+            BnlLocalizer::builder(Backend::Gaussian)
+                .prior(prior.clone())
+                .max_iterations(6)
+                .tolerance(0.0)
+                .try_build()
+                .expect("valid config"),
+        ),
+        (
+            "sharded-gaussian",
+            BnlLocalizer::builder(Backend::Gaussian)
+                .prior(prior)
+                .max_iterations(6)
+                .tolerance(0.0)
                 .shards(ShardPlan::target_nodes(16).expect("valid shard plan"))
                 .try_build()
                 .expect("valid config"),
@@ -324,9 +343,10 @@ mod tests {
             thread_counts: vec![1, 2],
             permutation_seeds: vec![0xA0D1_7000],
         });
-        // 4 workloads (grid, particle, sharded-grid, streaming engine)
-        // × (1 reference + 2 thread counts × 2 schedules).
-        assert_eq!(outcome.runs, 20);
+        // 6 workloads (grid, particle, sharded-grid, gaussian,
+        // sharded-gaussian, streaming engine) × (1 reference + 2 thread
+        // counts × 2 schedules).
+        assert_eq!(outcome.runs, 30);
         assert!(outcome.passed(), "divergences: {:?}", outcome.failures);
     }
 

@@ -160,7 +160,7 @@ pub fn particle_bench_json(samples: usize) -> String {
     let particle_secs = median_secs(samples, || {
         particle_engine.run(&mrf, &opts);
     });
-    let gaussian_engine = GaussianBp::default();
+    let gaussian_engine = GaussianBp;
     let (_, gaussian_outcome) = gaussian_engine.run(&mrf, &opts);
     let gaussian_secs = median_secs(samples, || {
         for _ in 0..GAUSSIAN_BATCH {
@@ -323,8 +323,8 @@ fn scale_bench_json_for(
     let mut shard_rows = String::new();
     for (i, &nodes) in node_counts.iter().enumerate() {
         let (mrf, layout) = sharded_fixture(nodes);
-        let flat = GaussianBp::default();
-        let sharded = ShardedEngine::new(GaussianBp::default(), Arc::clone(&layout), 1)
+        let flat = GaussianBp;
+        let sharded = ShardedEngine::new(GaussianBp, Arc::clone(&layout), 1)
             .expect("one interior iteration is valid");
         let flat_secs = median_secs(samples, || {
             flat.run(&mrf, &shard_opts);

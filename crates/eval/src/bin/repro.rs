@@ -273,7 +273,7 @@ fn run_audit(quick: bool) -> ExitCode {
         wsnloc_eval::AuditConfig::full()
     };
     eprintln!(
-        "audit-determinism: threads {:?} x {} schedule permutations (+ input order), grid + particle + sharded-grid BP + streaming engine",
+        "audit-determinism: threads {:?} x {} schedule permutations (+ input order), grid + particle + gaussian + sharded-grid + sharded-gaussian BP + streaming engine",
         config.thread_counts,
         config.permutation_seeds.len()
     );

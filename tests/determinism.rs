@@ -127,6 +127,33 @@ fn particle_bp_is_bit_identical_across_pool_sizes() {
 }
 
 #[test]
+fn gaussian_bp_is_bit_identical_across_pool_sizes() {
+    // Both `city_scale` solves run this backend; its synchronous schedule
+    // must not let the pool size leak into results either.
+    let s = scenario();
+    let (net, _) = s.build_trial(3);
+    let g = BnlLocalizer::builder(Backend::Gaussian)
+        .prior(PriorModel::DropPoint { sigma: 50.0 })
+        .max_iterations(6)
+        .tolerance(0.0)
+        .try_build()
+        .expect("valid config");
+    let run = |threads| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(|| g.localize(&net, 13))
+    };
+    let single = run(1);
+    let duo = run(2);
+    let quad = run(4);
+    assert_eq!(single.estimates, duo.estimates);
+    assert_eq!(single.estimates, quad.estimates);
+    assert_eq!(single.uncertainty, quad.uncertainty);
+}
+
+#[test]
 fn schedule_permutation_audit_passes_on_a_small_matrix() {
     // The full {1,2,4,8}-thread × 8-seed sweep is the CI `cargo xtask
     // audit-determinism` gate; this pins a reduced matrix into tier-1 so

@@ -9,7 +9,8 @@
 //!   atomics, and SAFETY-commented `unsafe`.
 //! - `audit-determinism` — the dynamic companion: drives the persistent
 //!   worker pool through seeded schedule permutations and thread counts
-//!   {1,2,4,8} over grid and particle BP, asserting bit-identical
+//!   {1,2,4,8} over grid, particle and Gaussian BP (flat and
+//!   sharded), asserting bit-identical
 //!   beliefs and metrics folds. The harness lives in `wsnloc-eval`
 //!   (`audit` module); this subcommand is a thin cargo wrapper so both
 //!   gates are reachable from one entry point.
@@ -28,8 +29,8 @@ fn usage() -> ! {
          commands:\n\
          \x20 lint                run the repo-specific static-analysis rules over\n\
          \x20                     the workspace crates; exits 1 on any violation\n\
-         \x20 audit-determinism   replay grid + particle BP under permuted worker\n\
-         \x20                     schedules and thread counts {{1,2,4,8}}, asserting\n\
+         \x20 audit-determinism   replay grid, particle and Gaussian BP under permuted\n\
+         \x20                     worker schedules and thread counts {{1,2,4,8}}, asserting\n\
          \x20                     bit-identical beliefs and metrics folds\n\
          \n\
          lint options:\n\
